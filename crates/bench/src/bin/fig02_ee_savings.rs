@@ -5,81 +5,6 @@
 //! DistilBERT-EE) on SST-2 and QNLI: accuracy and average latency
 //! normalized to vanilla BERT.
 
-use e3_bench::{takeaway, Table, SEED};
-use e3_hardware::{GpuKind, LatencyModel};
-use e3_model::{zoo, InferenceSim, RampController};
-use e3_workload::DatasetModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Mean per-sample compute (model+ramp work only) and end-to-end latency
-/// (including exit-check sync) in ms at batch 1, plus accuracy.
-fn measure(model: &e3_model::EeModel, dataset: &DatasetModel, seed: u64) -> (f64, f64, f64) {
-    let policy = zoo::default_policy(model.name());
-    let ctrl = RampController::all_enabled(model.num_ramps(), policy.ramp_style());
-    let infer = InferenceSim::with_accuracy(dataset.base_accuracy);
-    let lm = LatencyModel::new();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = 5000;
-    let mut compute_ms = 0.0;
-    let mut latency_ms = 0.0;
-    let mut correct = 0usize;
-    for _ in 0..n {
-        let h = dataset.sample_hardness(&mut rng);
-        let out = infer.run_sample(model, &policy, &ctrl, h, &mut rng);
-        // Time the exact executed prefix at batch 1, ramps included.
-        let mut c = 0.0;
-        for k in 0..out.layers_executed {
-            let l = model.layers()[k];
-            c += lm
-                .layer_time(l.work_us + l.fixed_us, 1.0, GpuKind::V100)
-                .as_millis_f64();
-        }
-        let mut sync = 0.0;
-        for &ri in &out.ramps_paid {
-            let r = model.ramps()[ri];
-            c += lm
-                .layer_time(r.work_us + r.fixed_us, 1.0, GpuKind::V100)
-                .as_millis_f64();
-            sync += lm.exit.reform_time(1.0).as_millis_f64();
-        }
-        compute_ms += c;
-        latency_ms += c + sync;
-        correct += usize::from(out.correct);
-    }
-    (
-        compute_ms / n as f64,
-        latency_ms / n as f64,
-        correct as f64 / n as f64,
-    )
-}
-
 fn main() {
-    println!("Figure 2: early-exit savings at batch 1 (normalized to BERT)\n");
-    for dataset in [DatasetModel::sst2(), DatasetModel::qnli()] {
-        let models = [
-            zoo::bert_base(),
-            zoo::deebert(), // = BERT-EE
-            zoo::distilbert(),
-            zoo::distilbert_ee(),
-        ];
-        let (bert_c, bert_l, _) = measure(&models[0], &dataset, SEED);
-        let mut t = Table::new(
-            format!(
-                "{} (paper: BERT-EE ~57% latency, <2% acc. loss)",
-                dataset.name()
-            ),
-            &["accuracy %", "compute %", "latency %"],
-        );
-        for m in &models {
-            let (c, l, acc) = measure(m, &dataset, SEED);
-            t.row_fmt(
-                m.name(),
-                &[acc * 100.0, c / bert_c * 100.0, l / bert_l * 100.0],
-                1,
-            );
-        }
-        t.print();
-        takeaway("EE variants cut compute sharply with small accuracy loss (exit-check sync claws some latency back); gains persist on DistilBERT");
-    }
+    print!("{}", e3_bench::figs::fig02_report());
 }

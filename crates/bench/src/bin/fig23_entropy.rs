@@ -2,45 +2,6 @@
 //! threshold over {0.3, 0.4, 0.5}. Looser tolerance → earlier exits →
 //! more E3 headroom (and more accuracy loss).
 
-use e3::harness::{run_closed_loop, HarnessOpts, ModelFamily, SystemKind};
-use e3_bench::{takeaway, Table, RUN_N, SEED};
-use e3_hardware::ClusterSpec;
-use e3_model::ExitPolicy;
-use e3_workload::DatasetModel;
-
 fn main() {
-    println!("Figure 23: goodput vs exit-entropy tolerance (16 x V100, b in {{1,2,4,8}})\n");
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let ds = DatasetModel::sst2();
-    let opts = HarnessOpts::default();
-    let batches = [1usize, 2, 4, 8];
-    for entropy in [0.3, 0.4, 0.5] {
-        let mut family = ModelFamily::nlp();
-        family.policy = ExitPolicy::Entropy { threshold: entropy };
-        let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
-        let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-        let mut t = Table::new(format!("entropy threshold {entropy}"), &col_refs);
-        let mut acc_row = Vec::new();
-        for (name, kind) in [
-            ("BERT-BASE", SystemKind::Vanilla),
-            ("DeeBERT", SystemKind::NaiveEe),
-            ("E3", SystemKind::E3),
-        ] {
-            let mut gs = Vec::new();
-            for &b in &batches {
-                let r = run_closed_loop(kind, &family, &cluster, b, &ds, RUN_N, &opts, SEED);
-                if kind == SystemKind::E3 {
-                    acc_row.push(r.accuracy() * 100.0);
-                }
-                gs.push(r.goodput());
-            }
-            t.row(name, &gs);
-        }
-        t.row_fmt("E3 accuracy %", &acc_row, 1);
-        t.print();
-        println!();
-    }
-    takeaway(
-        "higher tolerated entropy shifts exits earlier: E3's goodput grows (paper: up to +43% over DeeBERT at 0.5) while accuracy dips",
-    );
+    print!("{}", e3_bench::figs::fig23_report());
 }

@@ -2,47 +2,6 @@
 //! (§3.4) lets it disable ramps that are not useful, avoiding their
 //! checking overheads (paper: 7–16% goodput improvement).
 
-use e3::harness::{run_closed_loop, HarnessOpts, ModelFamily, SystemKind};
-use e3_bench::{takeaway, Table, RUN_N, SEED};
-use e3_hardware::ClusterSpec;
-use e3_workload::DatasetModel;
-
 fn main() {
-    println!("Figure 25: goodput improvement from the exit-wrapper (16 x V100)\n");
-    let family = ModelFamily::nlp();
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let ds = DatasetModel::sst2();
-    let batches = [1usize, 2, 4, 8];
-    let cols: Vec<String> = batches.iter().map(|b| format!("b={b}")).collect();
-    let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = Table::new("E3 goodput with and without the wrapper", &col_refs);
-    let run = |wrapper: bool, b: usize| {
-        run_closed_loop(
-            SystemKind::E3,
-            &family,
-            &cluster,
-            b,
-            &ds,
-            RUN_N,
-            &HarnessOpts {
-                use_wrapper: wrapper,
-                ..Default::default()
-            },
-            SEED,
-        )
-        .goodput()
-    };
-    let without: Vec<f64> = batches.iter().map(|&b| run(false, b)).collect();
-    let with: Vec<f64> = batches.iter().map(|&b| run(true, b)).collect();
-    let gain: Vec<f64> = with
-        .iter()
-        .zip(&without)
-        .map(|(w, o)| (w / o - 1.0) * 100.0)
-        .collect();
-    t.row("wrapper off", &without);
-    t.row("wrapper on", &with);
-    t.row_fmt("improvement %", &gain, 1);
-    t.row_fmt("paper improvement %", &[6.99, 10.87, 13.99, 16.0], 2);
-    t.print();
-    takeaway("disabling not-useful ramps saves checking overhead; gains grow with batch size");
+    print!("{}", e3_bench::figs::fig25_report());
 }

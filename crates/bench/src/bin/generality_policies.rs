@@ -7,70 +7,6 @@
 //! experiment sweeps the whole taxonomy of its §6 to stress E3's
 //! black-box claim: only batch sizes at ramps matter.
 
-use e3::harness::{run_closed_loop, HarnessOpts, ModelFamily, SystemKind};
-use e3_bench::{takeaway, Table, RUN_N, SEED};
-use e3_hardware::{ClusterSpec, ExitOverheads};
-use e3_model::zoo;
-use e3_workload::DatasetModel;
-
-fn family(name: &str) -> ModelFamily {
-    let (stock, ee) = match name {
-        "DeeBERT" => (zoo::bert_base(), zoo::deebert()),
-        "FastBERT" => (zoo::bert_base(), zoo::fastbert()),
-        "BERxiT" => (zoo::bert_base(), zoo::berxit()),
-        "ELBERT" => (zoo::albert(), zoo::elbert()),
-        "PABEE" => (zoo::bert_large(), zoo::pabee()),
-        other => panic!("unknown architecture {other}"),
-    };
-    ModelFamily {
-        stock,
-        policy: zoo::default_policy(ee.name()),
-        ee,
-        overheads: ExitOverheads::default(),
-    }
-}
-
 fn main() {
-    println!("Generality: E3 across five EE architectures (16 x V100, SST-2-like, b=8)\n");
-    let cluster = ClusterSpec::paper_homogeneous_v100();
-    let ds = DatasetModel::sst2();
-    let opts = HarnessOpts::default();
-    let mut t = Table::new(
-        "goodput by architecture (batch 8)",
-        &["stock", "naive EE", "E3", "E3/naive"],
-    );
-    let mut worst = f64::INFINITY;
-    for name in ["DeeBERT", "FastBERT", "BERxiT", "ELBERT", "PABEE"] {
-        let fam = family(name);
-        let stock = run_closed_loop(
-            SystemKind::Vanilla,
-            &fam,
-            &cluster,
-            8,
-            &ds,
-            RUN_N,
-            &opts,
-            SEED,
-        )
-        .goodput();
-        let naive = run_closed_loop(
-            SystemKind::NaiveEe,
-            &fam,
-            &cluster,
-            8,
-            &ds,
-            RUN_N,
-            &opts,
-            SEED,
-        )
-        .goodput();
-        let e3 =
-            run_closed_loop(SystemKind::E3, &fam, &cluster, 8, &ds, RUN_N, &opts, SEED).goodput();
-        worst = worst.min(e3 / naive);
-        t.row_fmt(name, &[stock, naive, e3, e3 / naive], 2);
-    }
-    t.print();
-    takeaway(&format!(
-        "E3 never inspects the exit rule, yet wins on every architecture (worst case {worst:.2}x over naive EE)"
-    ));
+    print!("{}", e3_bench::figs::generality_policies_report());
 }
