@@ -288,6 +288,7 @@ impl EdgeFleet {
         let seeds = SeedSplitter::new(cfg.seed);
         let ctrl = RampController::all_enabled(cfg.model.num_ramps(), cfg.policy.ramp_style());
         let sim = InferenceSim::new();
+        let sampler = sim.sampler(&cfg.model, &cfg.policy, &ctrl);
         let lm = LatencyModel::new();
         let cluster_kind = cfg.cluster.gpus()[0].kind;
 
@@ -382,8 +383,7 @@ impl EdgeFleet {
                         acc.requests += 1;
 
                         let hardness = class.dataset.sample_hardness(&mut rng);
-                        let outcome =
-                            sim.run_sample(&cfg.model, &cfg.policy, &ctrl, hardness, &mut rng);
+                        let outcome = sampler.sample(hardness, &mut rng);
 
                         while queue.front().is_some_and(|&t| t <= arrival) {
                             queue.pop_front();
@@ -414,7 +414,7 @@ impl EdgeFleet {
 
                         let executed = outcome.layers_executed.min(boundary);
                         let mut device_time = cum_layer[executed];
-                        for &r in &outcome.ramps_paid {
+                        for r in outcome.ramps_paid(&ctrl) {
                             if cfg.model.ramps()[r].after_layer < executed {
                                 device_time += ramp_t[r];
                             }

@@ -113,6 +113,14 @@ pub enum ModelError {
     },
     /// The autoregressive encoder prefix exceeds the layer count.
     EncoderTooLong,
+    /// A ramp controller's enable mask does not have one entry per ramp
+    /// of the model it is applied to.
+    RampMaskMismatch {
+        /// Ramps in the model.
+        model: usize,
+        /// Entries in the controller's mask.
+        mask: usize,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -132,6 +140,10 @@ impl fmt::Display for ModelError {
             ModelError::EncoderTooLong => {
                 write!(f, "encoder prefix exceeds the model's layer count")
             }
+            ModelError::RampMaskMismatch { model, mask } => write!(
+                f,
+                "ramp controller covers {mask} ramps but the model has {model}"
+            ),
         }
     }
 }

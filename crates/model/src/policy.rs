@@ -121,22 +121,36 @@ impl SampleExitState {
             ExitPolicy::Entropy { threshold } => obs.entropy <= threshold,
             ExitPolicy::Confidence { threshold } => obs.confidence >= threshold,
             ExitPolicy::Learned { threshold } => obs.gate_score >= threshold,
+            ExitPolicy::Patience { .. } | ExitPolicy::Voting { .. } => {
+                self.observe_class(policy, obs.predicted_class)
+            }
+        }
+    }
+
+    /// The dependent policies' update, which reads only the predicted
+    /// class. Independent policies never exit on the class alone, so they
+    /// return `false` here.
+    pub(crate) fn observe_class(&mut self, policy: &ExitPolicy, class: usize) -> bool {
+        match *policy {
             ExitPolicy::Patience { patience } => {
-                if self.last_class == Some(obs.predicted_class) {
+                if self.last_class == Some(class) {
                     self.streak += 1;
                 } else {
                     self.streak = 1;
-                    self.last_class = Some(obs.predicted_class);
+                    self.last_class = Some(class);
                 }
                 self.streak >= patience
             }
             ExitPolicy::Voting { quorum } => {
-                if obs.predicted_class >= self.votes.len() {
-                    self.votes.resize(obs.predicted_class + 1, 0);
+                if class >= self.votes.len() {
+                    self.votes.resize(class + 1, 0);
                 }
-                self.votes[obs.predicted_class] += 1;
-                self.votes[obs.predicted_class] >= quorum
+                self.votes[class] += 1;
+                self.votes[class] >= quorum
             }
+            ExitPolicy::Entropy { .. }
+            | ExitPolicy::Confidence { .. }
+            | ExitPolicy::Learned { .. } => false,
         }
     }
 }

@@ -79,6 +79,7 @@ pub fn materialize_sequences(
     n_requests: usize,
     seed: u64,
 ) -> Vec<SequenceSpec> {
+    let sampler = infer.sampler(model, policy, ctrl);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut specs = Vec::with_capacity(n_requests);
     for i in 0..n_requests {
@@ -86,7 +87,7 @@ pub fn materialize_sequences(
         let mut tokens = Vec::with_capacity(len);
         for _ in 0..len {
             let h = dataset.sample_hardness(&mut rng);
-            let out = infer.run_sample(model, policy, ctrl, h, &mut rng);
+            let out = sampler.sample(h, &mut rng);
             tokens.push(TokenJourney {
                 layers_executed: out.layers_executed,
             });
@@ -291,12 +292,13 @@ pub fn pick_boundary(
     seed: u64,
 ) -> usize {
     let enc = model.autoreg().map_or(0, |a| a.encoder_layers);
+    let sampler = infer.sampler(model, policy, ctrl);
     let mut rng = StdRng::seed_from_u64(seed);
     let n = 2000;
     let mut exits = vec![0usize; model.num_layers() + 1];
     for _ in 0..n {
         let h = dataset.sample_hardness(&mut rng);
-        let out = infer.run_sample(model, policy, ctrl, h, &mut rng);
+        let out = sampler.sample(h, &mut rng);
         exits[out.layers_executed] += 1;
     }
     let mut alive = n;

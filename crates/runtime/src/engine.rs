@@ -371,19 +371,11 @@ impl<'a> ServingSim<'a> {
     /// microbenchmark isolates event-loop throughput from model-layer
     /// sampling cost.
     pub fn materialize_backlog(&self, requests: &[Request], seed: u64) -> Vec<SimSample> {
+        let sampler = self.infer.sampler(self.model, &self.policy, &self.ctrl);
         let mut rng = StdRng::seed_from_u64(seed);
         requests
             .iter()
-            .map(|r| {
-                SimSample::materialize(
-                    r,
-                    self.model,
-                    &self.infer,
-                    &self.policy,
-                    &self.ctrl,
-                    &mut rng,
-                )
-            })
+            .map(|r| SimSample::materialize_with(r, &sampler, &mut rng))
             .collect()
     }
 

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 
-use e3_model::{EeModel, ExitPolicy, InferenceSim, RampController};
+use e3_model::{EeModel, ExitPolicy, InferenceSim, RampController, RampSampler};
 use e3_simcore::SimTime;
 use e3_workload::Request;
 
@@ -33,6 +33,10 @@ pub struct SimSample {
 
 impl SimSample {
     /// Materializes a request's journey under `(model, policy, ctrl)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctrl` does not have one entry per ramp of `model`.
     pub fn materialize(
         req: &Request,
         model: &EeModel,
@@ -41,7 +45,13 @@ impl SimSample {
         ctrl: &RampController,
         rng: &mut StdRng,
     ) -> Self {
-        let out = sim.run_sample(model, policy, ctrl, req.hardness, rng);
+        Self::materialize_with(req, &sim.sampler(model, policy, ctrl), rng)
+    }
+
+    /// [`SimSample::materialize`] with a sampler built once for a whole
+    /// backlog.
+    pub fn materialize_with(req: &Request, sampler: &RampSampler, rng: &mut StdRng) -> Self {
+        let out = sampler.sample(req.hardness, rng);
         SimSample {
             id: req.id,
             arrival: req.arrival,

@@ -48,10 +48,11 @@ pub fn run_serial_barrier(
 ) -> RunReport {
     assert!(!gpus.is_empty(), "need at least one GPU");
     assert!(b0 >= 1, "batch must be at least 1");
+    let sampler = infer.sampler(model, &policy, ctrl);
     let mut rng = StdRng::seed_from_u64(seed);
     let samples: Vec<SimSample> = requests
         .iter()
-        .map(|r| SimSample::materialize(r, model, infer, &policy, ctrl, &mut rng))
+        .map(|r| SimSample::materialize_with(r, &sampler, &mut rng))
         .collect();
 
     // Stage ranges from the boundary list.

@@ -91,8 +91,28 @@ pub fn exp_sample<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
 
 /// Samples a standard-normal variate via Box–Muller.
 pub fn normal_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let (u1, u2) = normal_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// Draws the two uniforms [`normal_sample`] consumes, in its order:
+/// `u1 ∈ [ε, 1)` (so `ln u1` is finite), then `u2 ∈ [0, 1)`.
+///
+/// Callers that want to inspect the uniforms before paying for the
+/// transform (e.g. to bound the variate from `u1` alone) draw them here
+/// and finish with [`box_muller`]; the result is bit-identical to
+/// [`normal_sample`] on the same stream.
+#[inline]
+pub fn normal_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
+    (u1, u2)
+}
+
+/// The Box–Muller transform of two uniforms into one standard-normal
+/// variate: `sqrt(-2 ln u1) · cos(2π u2)`.
+#[inline]
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
@@ -177,6 +197,20 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean={mean}");
         assert!((var - 1.0).abs() < 0.03, "var={var}");
+    }
+
+    #[test]
+    fn split_draw_matches_normal_sample() {
+        let mut a = StdRng::seed_from_u64(5);
+        let mut b = StdRng::seed_from_u64(5);
+        for _ in 0..1000 {
+            let (u1, u2) = normal_uniforms(&mut b);
+            assert_eq!(
+                normal_sample(&mut a).to_bits(),
+                box_muller(u1, u2).to_bits()
+            );
+        }
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 
     #[test]
