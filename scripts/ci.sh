@@ -8,6 +8,15 @@ cargo build --release --locked
 cargo test -q
 cargo clippy --all-targets -- -D warnings
 
+# Repository benchmark (perfbench/, its own cargo workspace): its unit
+# tests, then a short closed_sweep run that must pass every correctness
+# check. It builds against crates/ through path dependencies, so an API
+# change there can break it.
+cargo test --release --locked --manifest-path perfbench/Cargo.toml
+cargo run --quiet --release --locked --manifest-path perfbench/Cargo.toml -- \
+    --workload closed_sweep --seed 7 --seconds 2 --trace 0 > /tmp/perfbench.out
+grep -q '"correct": true' /tmp/perfbench.out
+
 # Smoke pass: the fault-degradation sweep, the guarded-reconfiguration
 # sweep, the multi-tenant allocation sweep, and one paper figure must
 # run and produce non-empty tables.
