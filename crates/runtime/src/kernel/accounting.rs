@@ -1,18 +1,38 @@
-//! Shared run accounting.
+//! Run accounting as a fold over the kernel event stream.
 //!
 //! Every driver that produces a [`RunReport`] — the event-driven kernel,
-//! the serial barrier mode — funnels its measurements through one
-//! [`RunAccumulator`], so latency, utilization, drop, and dispatch
-//! accounting are defined in exactly one place.
+//! the continuous-batching driver, the serial barrier mode — feeds each
+//! [`KernelEvent`] it emits to one [`RunAccumulator`] before any other
+//! observer sees it. [`RunObserver::on_event`] is the accumulator's only
+//! mutator, so the report is a pure function of the stream: replaying a
+//! recorded [`super::EventLog`] through a fresh accumulator reproduces
+//! the run's report exactly.
 
 use e3_simcore::metrics::{DurationHistogram, UtilizationTracker};
 use e3_simcore::{SimDuration, SimTime};
 
-use crate::report::{ExitEvent, RobustnessStats, RunReport, ShedCause};
+use super::observer::{KernelEvent, RunObserver};
+use super::ExclusionReason;
+use crate::report::{ExitEvent, RobustnessStats, RunReport};
 use crate::sample::SimSample;
 
-/// Accumulates the metrics of one serving run; [`RunAccumulator::finish`]
-/// converts them into the public [`RunReport`].
+/// The [`KernelEvent::Completion`] of `s` finishing at `now`: the one
+/// place a latency is judged against the SLO.
+pub(crate) fn completion(s: &SimSample, now: SimTime, slo: SimDuration) -> KernelEvent {
+    let latency = now.saturating_since(s.arrival);
+    KernelEvent::Completion {
+        sample: s.id,
+        latency,
+        within_slo: latency <= slo,
+        correct: s.correct,
+        exited_early: s.exited_at_ramp.is_some(),
+        layers_executed: s.layers_executed,
+    }
+}
+
+/// Folds one run's event stream into its metrics;
+/// [`RunAccumulator::finish`] converts them into the public
+/// [`RunReport`].
 #[derive(Debug, Clone)]
 pub struct RunAccumulator {
     slo: SimDuration,
@@ -21,7 +41,6 @@ pub struct RunAccumulator {
     util: Vec<UtilizationTracker>,
     completed: u64,
     within_slo: u64,
-    dropped: u64,
     correct: u64,
     exit_events: Vec<ExitEvent>,
     dispatch_batch_sum: Vec<f64>,
@@ -30,7 +49,6 @@ pub struct RunAccumulator {
     last_completion: SimTime,
     peak_queue_depth: Vec<usize>,
     peak_replica_queue_depth: Vec<usize>,
-    shed: u64,
     transfer_retries: u64,
     transfer_aborts: u64,
     excluded_since: Vec<Option<SimTime>>,
@@ -62,7 +80,6 @@ impl RunAccumulator {
                 .collect(),
             completed: 0,
             within_slo: 0,
-            dropped: 0,
             correct: 0,
             exit_events: Vec::new(),
             dispatch_batch_sum: vec![0.0; num_stages],
@@ -71,7 +88,6 @@ impl RunAccumulator {
             last_completion: SimTime::ZERO,
             peak_queue_depth: vec![0; num_stages],
             peak_replica_queue_depth: vec![0; num_replicas],
-            shed: 0,
             transfer_retries: 0,
             transfer_aborts: 0,
             excluded_since: vec![None; num_replicas],
@@ -84,170 +100,6 @@ impl RunAccumulator {
             kv_preemptions: 0,
             robustness: RobustnessStats::default(),
         }
-    }
-
-    /// Records a batch of `n` samples dispatched to `stage`.
-    pub fn record_dispatch(&mut self, stage: usize, n: f64) {
-        self.dispatch_batch_sum[stage] += n;
-        self.dispatch_batch_n[stage] += 1;
-    }
-
-    /// Records busy time on execution unit `rid`.
-    pub fn record_busy(&mut self, rid: usize, duration: SimDuration, occupancy: f64) {
-        self.util[rid].record_busy(duration, occupancy);
-    }
-
-    /// Records one admission drop.
-    pub fn record_drop(&mut self) {
-        self.dropped += 1;
-        self.robustness.sheds.admission += 1;
-    }
-
-    /// Updates the running queue-depth peak for `stage`.
-    pub fn observe_queue_depth(&mut self, stage: usize, depth: usize) {
-        if depth > self.peak_queue_depth[stage] {
-            self.peak_queue_depth[stage] = depth;
-        }
-    }
-
-    /// Updates the running queue-depth peak for replica `rid` (queued
-    /// batches, excluding the one executing).
-    pub fn observe_replica_queue_depth(&mut self, rid: usize, depth: usize) {
-        if depth > self.peak_replica_queue_depth[rid] {
-            self.peak_replica_queue_depth[rid] = depth;
-        }
-    }
-
-    /// Records `n` samples shed at routing time by the per-replica queue
-    /// bound, attributed to `cause`. Shed samples also count as drops.
-    pub fn record_shed(&mut self, n: usize, cause: ShedCause) {
-        self.shed += n as u64;
-        self.dropped += n as u64;
-        match cause {
-            ShedCause::QueueCap => self.robustness.sheds.queue_cap += n as u64,
-            ShedCause::Brownout => self.robustness.sheds.brownout += n as u64,
-        }
-    }
-
-    /// Records one transfer retry scheduled while a link was down.
-    pub fn record_transfer_retry(&mut self) {
-        self.transfer_retries += 1;
-    }
-
-    /// Records a transfer abort that dropped `n` samples after the retry
-    /// budget ran out. `budget_exhausted` marks aborts forced by the
-    /// per-run retry budget rather than the transfer's own attempt
-    /// limit.
-    pub fn record_transfer_abort(&mut self, n: usize, budget_exhausted: bool) {
-        self.transfer_aborts += 1;
-        self.dropped += n as u64;
-        self.robustness.sheds.transfer_abort += n as u64;
-        if budget_exhausted {
-            self.robustness.retry_budget_exhausted += 1;
-        }
-    }
-
-    /// Records a straggling batch re-dispatched to a healthy peer.
-    pub fn record_hedge_dispatch(&mut self) {
-        self.robustness.hedges_dispatched += 1;
-    }
-
-    /// Records a hedged pair resolved by one copy finishing first.
-    pub fn record_hedge_win(&mut self) {
-        self.robustness.hedges_won += 1;
-    }
-
-    /// Records a hedge copy cancelled (pair resolution or crash).
-    pub fn record_hedge_cancel(&mut self) {
-        self.robustness.hedges_cancelled += 1;
-    }
-
-    /// Records a circuit-breaker trip.
-    pub fn record_breaker_trip(&mut self) {
-        self.robustness.breaker_trips += 1;
-    }
-
-    /// Records a breaker entering its half-open probe phase.
-    pub fn record_breaker_probe(&mut self) {
-        self.robustness.breaker_probes += 1;
-    }
-
-    /// Records a breaker closing after a clean probe phase.
-    pub fn record_breaker_close(&mut self) {
-        self.robustness.breaker_closes += 1;
-    }
-
-    /// Records a replica flagged as a straggler.
-    pub fn record_straggler(&mut self, rid: usize) {
-        self.stragglers_detected.push(rid);
-    }
-
-    /// Records one injected fault taking effect.
-    pub fn record_fault(&mut self) {
-        self.faults_injected += 1;
-    }
-
-    /// Records `n` output tokens generated (autoregressive runs).
-    pub fn record_tokens(&mut self, n: u64) {
-        self.tokens_generated += n;
-    }
-
-    /// Records one KV-pressure preemption.
-    pub fn record_kv_preemption(&mut self) {
-        self.kv_preemptions += 1;
-    }
-
-    /// Marks `rid` excluded from assignment as of `now`; idempotent while
-    /// the replica stays excluded.
-    pub fn record_exclusion(&mut self, rid: usize, now: SimTime) {
-        if self.excluded_since[rid].is_none() {
-            self.excluded_since[rid] = Some(now);
-            self.excluded_now += 1;
-        }
-    }
-
-    /// Marks `rid` back in service as of `now`, closing its exclusion
-    /// interval; a no-op when the replica was not excluded.
-    pub fn record_recovery(&mut self, rid: usize, now: SimTime) {
-        if let Some(since) = self.excluded_since[rid].take() {
-            self.excluded_total[rid] += now.saturating_since(since);
-            self.excluded_now -= 1;
-        }
-    }
-
-    /// True while at least one replica is excluded — the run is in
-    /// degraded mode.
-    pub fn degraded(&self) -> bool {
-        self.excluded_now > 0
-    }
-
-    /// Records a completion at `now`; returns whether it met the SLO.
-    pub fn complete(&mut self, s: &SimSample, now: SimTime) -> bool {
-        let lat = now.saturating_since(s.arrival);
-        self.latency.record(lat);
-        self.completed += 1;
-        let in_slo = lat <= self.slo;
-        if in_slo {
-            self.within_slo += 1;
-        }
-        if s.correct {
-            self.correct += 1;
-        }
-        if self.excluded_now > 0 {
-            self.degraded_completed += 1;
-            if in_slo {
-                self.degraded_within_slo += 1;
-            }
-        }
-        if self.record_exit_events {
-            self.exit_events.push(ExitEvent {
-                at: now,
-                layers_executed: s.layers_executed,
-                exited_early: s.exited_at_ramp.is_some(),
-            });
-        }
-        self.last_completion = now;
-        in_slo
     }
 
     /// Time of the most recent completion.
@@ -278,11 +130,12 @@ impl RunAccumulator {
                 }
             })
             .collect();
+        let sheds = self.robustness.sheds;
         RunReport {
             duration,
             completed: self.completed,
             within_slo: self.within_slo,
-            dropped: self.dropped,
+            dropped: sheds.total(),
             correct: self.correct,
             latency: self.latency,
             replica_util: self.util,
@@ -304,7 +157,7 @@ impl RunAccumulator {
             faults_injected: self.faults_injected,
             degraded_completed: self.degraded_completed,
             degraded_within_slo: self.degraded_within_slo,
-            shed: self.shed,
+            shed: sheds.queue_cap + sheds.brownout,
             transfer_retries: self.transfer_retries,
             transfer_aborts: self.transfer_aborts,
             tokens_generated: self.tokens_generated,
@@ -314,30 +167,177 @@ impl RunAccumulator {
     }
 }
 
+impl RunObserver for RunAccumulator {
+    fn on_event(&mut self, now: SimTime, event: &KernelEvent) {
+        let rb = &mut self.robustness;
+        match *event {
+            KernelEvent::Dispatched {
+                stage,
+                width,
+                queued,
+            } => {
+                self.dispatch_batch_sum[stage] += width;
+                self.dispatch_batch_n[stage] += 1;
+                if let Some(q) = queued {
+                    let peak = &mut self.peak_replica_queue_depth[q.replica as usize];
+                    *peak = (*peak).max(q.replica_depth as usize);
+                    let peak = &mut self.peak_queue_depth[stage];
+                    *peak = (*peak).max(q.stage_depth as usize);
+                }
+            }
+            KernelEvent::ExecStart {
+                replica,
+                busy,
+                occupancy,
+                ..
+            } => self.util[replica].record_busy(busy, occupancy),
+            KernelEvent::Completion {
+                latency,
+                within_slo,
+                correct,
+                exited_early,
+                layers_executed,
+                ..
+            } => {
+                self.latency.record(latency);
+                self.completed += 1;
+                self.within_slo += u64::from(within_slo);
+                self.correct += u64::from(correct);
+                if self.excluded_now > 0 {
+                    self.degraded_completed += 1;
+                    self.degraded_within_slo += u64::from(within_slo);
+                }
+                if self.record_exit_events {
+                    self.exit_events.push(ExitEvent {
+                        at: now,
+                        layers_executed,
+                        exited_early,
+                    });
+                }
+                self.last_completion = now;
+            }
+            KernelEvent::Dropped { cause, .. } => rb.sheds.record(cause),
+            KernelEvent::TransferRetried { .. } => self.transfer_retries += 1,
+            KernelEvent::TransferAborted {
+                budget_exhausted, ..
+            } => {
+                self.transfer_aborts += 1;
+                rb.retry_budget_exhausted += u64::from(budget_exhausted);
+            }
+            KernelEvent::HedgeDispatched { .. } => rb.hedges_dispatched += 1,
+            KernelEvent::HedgeWon { .. } => rb.hedges_won += 1,
+            KernelEvent::HedgeCancelled { .. } => rb.hedges_cancelled += 1,
+            KernelEvent::BreakerTripped { .. } => rb.breaker_trips += 1,
+            KernelEvent::BreakerProbe { .. } => rb.breaker_probes += 1,
+            KernelEvent::BreakerClosed { .. } => rb.breaker_closes += 1,
+            KernelEvent::FaultInjected { .. } => self.faults_injected += 1,
+            KernelEvent::TokenGenerated { .. } => self.tokens_generated += 1,
+            KernelEvent::KvPreempted { .. } => self.kv_preemptions += 1,
+            // Exclusion is idempotent while the replica stays out (a crash
+            // may follow a straggler verdict); recovery closes the
+            // interval, if one is open.
+            KernelEvent::ReplicaExcluded { replica, reason } => {
+                if reason == ExclusionReason::Straggler {
+                    self.stragglers_detected.push(replica);
+                }
+                if self.excluded_since[replica].is_none() {
+                    self.excluded_since[replica] = Some(now);
+                    self.excluded_now += 1;
+                }
+            }
+            KernelEvent::ReplicaRecovered { replica } => {
+                if let Some(since) = self.excluded_since[replica].take() {
+                    self.excluded_total[replica] += now.saturating_since(since);
+                    self.excluded_now -= 1;
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::observer::QueueDepth;
+    use crate::report::DropCause;
+
+    fn sample(arrival: SimTime, exited_at_ramp: Option<usize>, correct: bool) -> SimSample {
+        SimSample {
+            id: 1,
+            arrival,
+            layers_executed: 4,
+            exited_at_ramp,
+            correct,
+            output_tokens: 1,
+        }
+    }
+
+    fn feed(acc: &mut RunAccumulator, now: SimTime, events: &[KernelEvent]) {
+        for e in events {
+            acc.on_event(now, e);
+        }
+    }
+
+    fn dropped(cause: DropCause) -> KernelEvent {
+        KernelEvent::Dropped {
+            sample: 0,
+            stage: 0,
+            cause,
+        }
+    }
 
     #[test]
     fn accumulates_and_finishes() {
-        let mut acc = RunAccumulator::new(2, 3, SimDuration::from_millis(20), true);
-        acc.record_dispatch(0, 8.0);
-        acc.record_dispatch(0, 4.0);
-        acc.record_dispatch(1, 6.0);
-        acc.record_busy(1, SimDuration::from_millis(5), 0.5);
-        acc.record_drop();
-        acc.observe_queue_depth(1, 3);
-        acc.observe_queue_depth(1, 2);
-        let s = SimSample {
-            id: 1,
-            arrival: SimTime::ZERO,
-            layers_executed: 4,
-            exited_at_ramp: Some(1),
-            correct: true,
-            output_tokens: 1,
+        let slo = SimDuration::from_millis(20);
+        let mut acc = RunAccumulator::new(2, 3, slo, true);
+        let queued = |stage_depth| {
+            Some(QueueDepth {
+                replica: 2,
+                replica_depth: 1,
+                stage_depth,
+            })
         };
-        assert!(acc.complete(&s, SimTime::from_millis(10)));
-        assert!(!acc.complete(&s, SimTime::from_millis(30)));
+        let s = sample(SimTime::ZERO, Some(1), true);
+        feed(
+            &mut acc,
+            SimTime::ZERO,
+            &[
+                KernelEvent::Dispatched {
+                    stage: 0,
+                    width: 8.0,
+                    queued: None,
+                },
+                KernelEvent::Dispatched {
+                    stage: 0,
+                    width: 4.0,
+                    queued: None,
+                },
+                KernelEvent::Dispatched {
+                    stage: 1,
+                    width: 6.0,
+                    queued: queued(3),
+                },
+                KernelEvent::Dispatched {
+                    stage: 1,
+                    width: 6.0,
+                    queued: queued(2),
+                },
+                KernelEvent::ExecStart {
+                    replica: 1,
+                    stage: 1,
+                    size: 6,
+                    busy: SimDuration::from_millis(5),
+                    occupancy: 0.5,
+                },
+                dropped(DropCause::Admission),
+            ],
+        );
+        let done_at = SimTime::from_millis(10);
+        acc.on_event(done_at, &completion(&s, done_at, slo));
+        let late = SimTime::from_millis(30);
+        acc.on_event(late, &completion(&s, late, slo));
+        assert_eq!(acc.last_completion(), late);
         let r = acc.finish(SimDuration::from_secs(1));
         assert_eq!(r.completed, 2);
         assert_eq!(r.within_slo, 1);
@@ -345,34 +345,41 @@ mod tests {
         assert_eq!(r.correct, 2);
         assert_eq!(r.mean_dispatch_batch, vec![6.0, 6.0]);
         assert_eq!(r.peak_queue_depth, vec![0, 3]);
+        assert_eq!(r.peak_replica_queue_depth, vec![0, 0, 1]);
+        assert_eq!(r.replica_util[1].busy(), SimDuration::from_millis(5));
         assert_eq!(r.exit_events.len(), 2);
+        assert!(r.exit_events[0].exited_early);
         assert_eq!(r.latency.samples_ms().len(), 2);
     }
 
     #[test]
     fn exclusion_intervals_become_availability() {
-        let mut acc = RunAccumulator::new(1, 2, SimDuration::from_millis(100), false);
-        acc.record_fault();
-        acc.record_exclusion(0, SimTime::from_secs(1));
-        acc.record_exclusion(0, SimTime::from_secs(2)); // idempotent
-        assert!(acc.degraded());
-        let s = SimSample {
-            id: 9,
-            arrival: SimTime::from_secs(1),
-            layers_executed: 1,
-            exited_at_ramp: None,
-            correct: true,
-            output_tokens: 1,
+        let slo = SimDuration::from_millis(100);
+        let mut acc = RunAccumulator::new(1, 2, slo, false);
+        let at = SimTime::from_secs;
+        let excluded = |replica, reason| KernelEvent::ReplicaExcluded { replica, reason };
+        let fault = KernelEvent::FaultInjected {
+            fault: crate::kernel::FaultEvent::ReplicaCrash {
+                replica: 0,
+                at: at(1),
+            },
         };
-        acc.complete(&s, SimTime::from_secs(1) + SimDuration::from_millis(50));
-        acc.record_recovery(0, SimTime::from_secs(3));
-        acc.record_recovery(0, SimTime::from_secs(4)); // no-op
-        assert!(!acc.degraded());
+        acc.on_event(at(1), &fault);
+        acc.on_event(at(1), &excluded(0, ExclusionReason::Straggler));
+        acc.on_event(at(2), &excluded(0, ExclusionReason::Crash)); // idempotent
+        let s = sample(at(1), None, true);
+        let done_at = at(1) + SimDuration::from_millis(50);
+        acc.on_event(done_at, &completion(&s, done_at, slo));
+        acc.on_event(at(3), &KernelEvent::ReplicaRecovered { replica: 0 });
+        acc.on_event(at(4), &KernelEvent::ReplicaRecovered { replica: 0 }); // no-op
+                                                                            // Not degraded any more: this completion does not count as one.
+        acc.on_event(at(5), &completion(&s, at(5), slo));
         // Replica 1 excluded at t=6 and never recovered: interval closes
         // at the 8 s horizon.
-        acc.record_exclusion(1, SimTime::from_secs(6));
+        acc.on_event(at(6), &excluded(1, ExclusionReason::Breaker));
         let r = acc.finish(SimDuration::from_secs(8));
         assert_eq!(r.faults_injected, 1);
+        assert_eq!(r.stragglers_detected, vec![0]);
         assert_eq!(r.degraded_completed, 1);
         assert_eq!(r.degraded_within_slo, 1);
         assert!((r.replica_availability[0] - 0.75).abs() < 1e-12);
@@ -382,17 +389,37 @@ mod tests {
     #[test]
     fn sheds_by_cause_partition_the_drops() {
         let mut acc = RunAccumulator::new(1, 2, SimDuration::from_millis(20), false);
-        acc.record_shed(4, ShedCause::QueueCap);
-        acc.record_shed(3, ShedCause::Brownout);
-        acc.record_drop(); // admission rejection
-        acc.record_transfer_abort(2, false);
-        acc.record_transfer_abort(5, true);
-        acc.record_hedge_dispatch();
-        acc.record_hedge_win();
-        acc.record_hedge_cancel();
-        acc.record_breaker_trip();
-        acc.record_breaker_probe();
-        acc.record_breaker_close();
+        let aborted = |budget_exhausted| KernelEvent::TransferAborted {
+            from_stage: 0,
+            size: 1,
+            budget_exhausted,
+        };
+        let mut events = Vec::new();
+        events.extend([dropped(DropCause::QueueCap); 4]);
+        events.extend([dropped(DropCause::Brownout); 3]);
+        events.push(dropped(DropCause::Admission));
+        events.extend([dropped(DropCause::TransferAbort); 7]);
+        events.extend([
+            aborted(false),
+            aborted(true),
+            KernelEvent::HedgeDispatched {
+                primary: 0,
+                backup: 1,
+                size: 2,
+            },
+            KernelEvent::HedgeWon {
+                replica: 0,
+                size: 2,
+            },
+            KernelEvent::HedgeCancelled {
+                replica: 1,
+                size: 2,
+            },
+            KernelEvent::BreakerTripped { replica: 1 },
+            KernelEvent::BreakerProbe { replica: 1 },
+            KernelEvent::BreakerClosed { replica: 1 },
+        ]);
+        feed(&mut acc, SimTime::ZERO, &events);
         let r = acc.finish(SimDuration::from_secs(1));
         assert_eq!(r.robustness.sheds.queue_cap, 4);
         assert_eq!(r.robustness.sheds.brownout, 3);
@@ -414,16 +441,11 @@ mod tests {
 
     #[test]
     fn exit_events_can_be_disabled() {
-        let mut acc = RunAccumulator::new(1, 1, SimDuration::from_millis(20), false);
-        let s = SimSample {
-            id: 1,
-            arrival: SimTime::ZERO,
-            layers_executed: 4,
-            exited_at_ramp: None,
-            correct: false,
-            output_tokens: 1,
-        };
-        acc.complete(&s, SimTime::from_millis(1));
+        let slo = SimDuration::from_millis(20);
+        let mut acc = RunAccumulator::new(1, 1, slo, false);
+        let s = sample(SimTime::ZERO, None, false);
+        let now = SimTime::from_millis(1);
+        acc.on_event(now, &completion(&s, now, slo));
         let r = acc.finish(SimDuration::from_secs(1));
         assert!(r.exit_events.is_empty());
         assert_eq!(r.correct, 0);

@@ -15,11 +15,14 @@
 //!   ([`NoStragglerDetection`], [`RelativeSlowdown`]).
 //!
 //! A [`RunObserver`] receives the typed [`KernelEvent`] stream (arrival,
-//! admit, drop, batch-formed, fusion, exec start/done, stage transfer,
-//! completion) after each transition; observation cannot perturb
-//! scheduling. Metrics funnel through the shared [`RunAccumulator`],
-//! which the serial barrier driver ([`crate::serial`]) reuses so both
-//! execution modes account identically.
+//! admit, drop, batch-formed, dispatch, fusion, exec start/done, stage
+//! transfer, completion) after each transition; observation cannot
+//! perturb scheduling. The run's metrics are one more observer: every
+//! event goes through a single emit helper that feeds the
+//! [`RunAccumulator`] fold first and the caller's observer second, so
+//! the [`crate::RunReport`] is exactly what the stream says. The
+//! continuous and serial drivers ([`run_continuous`],
+//! [`crate::serial`]) fold their streams through the same accumulator.
 
 mod accounting;
 mod continuous;
@@ -27,6 +30,7 @@ pub mod faults;
 mod observer;
 mod policy;
 
+pub(crate) use accounting::completion;
 pub use accounting::RunAccumulator;
 pub use continuous::{
     run_continuous, ContinuousBatching, ContinuousConfig, ContinuousOutcome, JoinPolicy, KvPlan,
@@ -34,8 +38,8 @@ pub use continuous::{
 };
 pub use faults::{ExclusionReason, FaultEvent, FaultPlan};
 pub use observer::{
-    EventLog, KernelEvent, NullObserver, OffsetObserver, RunObserver, TagObserver, TaggedEventLog,
-    TeeObserver,
+    EventLog, KernelEvent, NullObserver, OffsetObserver, QueueDepth, RunObserver, TagObserver,
+    TaggedEventLog, TeeObserver,
 };
 pub use policy::{
     AdmissionPolicy, AdmitAll, BatchingPolicy, FusionBatching, NoStragglerDetection,
@@ -51,6 +55,7 @@ use e3_simcore::{EventQueue, SimQueue, SimTime};
 use crate::batch::Batch;
 use crate::engine::ServingSim;
 use crate::executor::execute_batch;
+use crate::report::DropCause;
 use crate::sample::SimSample;
 
 /// Recycled sample buffers kept per kernel run; bounds pool growth when a
@@ -164,7 +169,7 @@ struct Replica {
 /// One run of the serving event loop. Built by
 /// [`crate::engine::ServingSim`] with the materialized backlog and the
 /// chosen policies; [`Kernel::run`] drains the event queue and returns
-/// the filled [`RunAccumulator`].
+/// the [`RunAccumulator`] that folded its event stream.
 ///
 /// Generic over the event queue so differential tests can replay the
 /// identical run on the binary-heap [`e3_simcore::ReferenceQueue`] and
@@ -195,6 +200,7 @@ pub(crate) struct Kernel<'a, 'p, Q: SimQueue<Ev> = EventQueue<Ev>> {
     /// loop: arrival scheduled before `drain_at`). The engine reports it
     /// so segmented windows know where the next segment resumes.
     consumed: usize,
+    /// The report fold; fed every event by [`Kernel::emit`].
     acc: RunAccumulator,
     /// Recycled sample buffers: batches formed on the hot path draw their
     /// `Vec<SimSample>` here instead of the allocator, and fully-completed
@@ -398,24 +404,28 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         self.q.now()
     }
 
+    /// The kernel's one emission path: the report fold first, then the
+    /// caller's observer.
+    fn emit(&mut self, event: KernelEvent) {
+        let now = self.q.now();
+        self.acc.on_event(now, &event);
+        self.observer.on_event(now, &event);
+    }
+
     fn on_arrival(&mut self, i: usize) {
         let s = self.backlog[i];
         let now = self.now();
-        self.observer
-            .on_event(now, &KernelEvent::Arrival { sample: s.id });
+        self.emit(KernelEvent::Arrival { sample: s.id });
         self.policies.batching.push(0, s, now);
         self.pump(0);
     }
 
     fn on_batch_ready(&mut self, stage: usize, mut batch: Batch) {
         let now = self.now();
-        self.observer.on_event(
-            now,
-            &KernelEvent::Fusion {
-                stage,
-                size: batch.len(),
-            },
-        );
+        self.emit(KernelEvent::Fusion {
+            stage,
+            size: batch.len(),
+        });
         for s in batch.samples.drain(..) {
             self.policies.batching.push(stage, s, now);
         }
@@ -427,14 +437,11 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
     fn pump(&mut self, stage: usize) {
         let now = self.now();
         while let Some(b) = self.policies.batching.take_full(stage, now) {
-            self.observer.on_event(
-                now,
-                &KernelEvent::BatchFormed {
-                    stage,
-                    size: b.len(),
-                    partial: false,
-                },
-            );
+            self.emit(KernelEvent::BatchFormed {
+                stage,
+                size: b.len(),
+                partial: false,
+            });
             self.route(stage, b);
         }
         self.arm_flush(stage);
@@ -454,14 +461,11 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         self.flush_pending[stage] = false;
         let now = self.now();
         if let Some(b) = self.policies.batching.take_due(stage, now) {
-            self.observer.on_event(
-                now,
-                &KernelEvent::BatchFormed {
-                    stage,
-                    size: b.len(),
-                    partial: true,
-                },
-            );
+            self.emit(KernelEvent::BatchFormed {
+                stage,
+                size: b.len(),
+                partial: true,
+            });
             self.route(stage, b);
         }
         self.arm_flush(stage);
@@ -490,39 +494,39 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                 return;
             }
         }
-        self.acc.record_dispatch(stage, batch.len() as f64);
+        let width = batch.len() as f64;
         self.replicas[rid].queue.push_back(batch);
-        self.acc
-            .observe_replica_queue_depth(rid, self.replicas[rid].queue.len());
-        let depth: usize = self.stage_replicas[stage]
+        let stage_depth: usize = self.stage_replicas[stage]
             .iter()
             .map(|&r| self.replicas[r].queue.len())
             .sum();
-        self.acc.observe_queue_depth(stage, depth);
+        self.emit(KernelEvent::Dispatched {
+            stage,
+            width,
+            queued: Some(QueueDepth {
+                replica: rid as u32,
+                replica_depth: self.replicas[rid].queue.len() as u32,
+                stage_depth: stage_depth as u32,
+            }),
+        });
         self.try_begin(rid);
     }
 
     /// Drops a whole batch at routing time (queue bound reached),
     /// attributed to the configured shed cause.
     fn shed_batch(&mut self, stage: usize, mut batch: Batch) {
-        let now = self.now();
-        self.acc.record_shed(batch.len(), self.sim.cfg.shed_cause);
-        self.observer.on_event(
-            now,
-            &KernelEvent::BatchShed {
-                stage,
-                size: batch.len(),
-            },
-        );
+        let cause = self.sim.cfg.shed_cause.into();
+        self.emit(KernelEvent::BatchShed {
+            stage,
+            size: batch.len(),
+        });
         for s in batch.samples.drain(..) {
             self.in_flight = self.in_flight.saturating_sub(1);
-            self.observer.on_event(
-                now,
-                &KernelEvent::Dropped {
-                    sample: s.id,
-                    stage,
-                },
-            );
+            self.emit(KernelEvent::Dropped {
+                sample: s.id,
+                stage,
+                cause,
+            });
         }
         self.pool_put(batch.samples);
         self.wake_feeders();
@@ -555,14 +559,11 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                         batch.samples[kept] = s;
                         kept += 1;
                     } else {
-                        self.acc.record_drop();
-                        self.observer.on_event(
-                            now,
-                            &KernelEvent::Dropped {
-                                sample: s.id,
-                                stage,
-                            },
-                        );
+                        self.emit(KernelEvent::Dropped {
+                            sample: s.id,
+                            stage,
+                            cause: DropCause::Admission,
+                        });
                     }
                 }
                 batch.samples.truncate(kept);
@@ -571,13 +572,10 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                 self.pool_put(batch.samples);
                 continue;
             }
-            self.observer.on_event(
-                now,
-                &KernelEvent::Admitted {
-                    stage,
-                    size: batch.len(),
-                },
-            );
+            self.emit(KernelEvent::Admitted {
+                stage,
+                size: batch.len(),
+            });
             self.start_exec(rid, batch);
             return;
         }
@@ -610,21 +608,21 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         for i in self.backlog_cursor..end {
             let mut s = self.backlog[i];
             s.arrival = now; // closed loop: latency measured from dispatch
-            self.observer
-                .on_event(now, &KernelEvent::Arrival { sample: s.id });
+            self.emit(KernelEvent::Arrival { sample: s.id });
             samples.push(s);
         }
         self.backlog_cursor = end;
         self.in_flight += samples.len();
-        self.acc.record_dispatch(0, samples.len() as f64);
-        self.observer.on_event(
-            now,
-            &KernelEvent::BatchFormed {
-                stage: 0,
-                size: samples.len(),
-                partial: false,
-            },
-        );
+        self.emit(KernelEvent::Dispatched {
+            stage: 0,
+            width: samples.len() as f64,
+            queued: None,
+        });
+        self.emit(KernelEvent::BatchFormed {
+            stage: 0,
+            size: samples.len(),
+            partial: false,
+        });
         let batch = Batch {
             samples,
             formed_at: now,
@@ -679,20 +677,17 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         } else {
             out.duration
         };
-        self.acc.record_busy(rid, wall, out.mean_occupancy);
         let n = batch.samples.len().max(1) as f64;
         self.replicas[rid].per_sample_secs_sum += out.duration.as_secs_f64() / n;
         self.replicas[rid].busy = true;
-        let now = self.now();
-        self.replicas[rid].exec_started = now;
-        self.observer.on_event(
-            now,
-            &KernelEvent::ExecStart {
-                replica: rid,
-                stage,
-                size: batch.len(),
-            },
-        );
+        self.replicas[rid].exec_started = self.now();
+        self.emit(KernelEvent::ExecStart {
+            replica: rid,
+            stage: stage as u32,
+            size: batch.len() as u32,
+            busy: wall,
+            occupancy: out.mean_occupancy,
+        });
         self.replicas[rid].running = Some(batch);
         self.q.schedule_after(
             wall,
@@ -733,14 +728,11 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         // Each completed execution moves the epoch: a pending HedgeCheck
         // for this batch is now stale.
         self.replicas[rid].epoch += 1;
-        self.observer.on_event(
-            now,
-            &KernelEvent::ExecDone {
-                replica: rid,
-                stage,
-                size: batch.len(),
-            },
-        );
+        self.emit(KernelEvent::ExecDone {
+            replica: rid,
+            stage,
+            size: batch.len(),
+        });
         // Feed the wall-clock health estimator — gray degradations show
         // up here even though the self-reported statistics stay clean.
         if self.health.is_some() {
@@ -755,25 +747,17 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         // samples are the same requests and must count exactly once).
         if let Some(p) = self.replicas[rid].hedge_partner.take() {
             self.replicas[p].hedge_partner = None;
-            self.acc.record_hedge_win();
-            self.observer.on_event(
-                now,
-                &KernelEvent::HedgeWon {
-                    replica: rid,
-                    size: batch.len(),
-                },
-            );
+            self.emit(KernelEvent::HedgeWon {
+                replica: rid,
+                size: batch.len(),
+            });
             if let Some(losing) = self.replicas[p].running.take() {
                 self.replicas[p].epoch += 1; // invalidate its ExecDone
                 self.replicas[p].busy = false;
-                self.acc.record_hedge_cancel();
-                self.observer.on_event(
-                    now,
-                    &KernelEvent::HedgeCancelled {
-                        replica: p,
-                        size: losing.samples.len(),
-                    },
-                );
+                self.emit(KernelEvent::HedgeCancelled {
+                    replica: p,
+                    size: losing.samples.len(),
+                });
                 self.pool_put(losing.samples);
                 self.try_begin(p);
             }
@@ -821,7 +805,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         let Some(bc) = self.sim.cfg.breaker else {
             return;
         };
-        let now = self.now();
         match self.replicas[rid].breaker {
             BreakerState::Closed => {
                 let phi = self.health.as_ref().map_or(0.0, |h| h.phi(rid));
@@ -836,9 +819,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                     self.trip_breaker(rid); // probe failed: back to open
                 } else if probes_left <= 1 {
                     self.replicas[rid].breaker = BreakerState::Closed;
-                    self.acc.record_breaker_close();
-                    self.observer
-                        .on_event(now, &KernelEvent::BreakerClosed { replica: rid });
+                    self.emit(KernelEvent::BreakerClosed { replica: rid });
                 } else {
                     self.replicas[rid].breaker = BreakerState::HalfOpen {
                         probes_left: probes_left - 1,
@@ -860,21 +841,14 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             .cfg
             .breaker
             .expect("breaker tripped without config");
-        let now = self.now();
         let stage = self.replicas[rid].stage;
         self.replicas[rid].breaker = BreakerState::Open;
         self.replicas[rid].excluded = true;
-        self.acc.record_breaker_trip();
-        self.acc.record_exclusion(rid, now);
-        self.observer
-            .on_event(now, &KernelEvent::BreakerTripped { replica: rid });
-        self.observer.on_event(
-            now,
-            &KernelEvent::ReplicaExcluded {
-                replica: rid,
-                reason: ExclusionReason::Breaker,
-            },
-        );
+        self.emit(KernelEvent::BreakerTripped { replica: rid });
+        self.emit(KernelEvent::ReplicaExcluded {
+            replica: rid,
+            reason: ExclusionReason::Breaker,
+        });
         self.q
             .schedule_after(bc.cooldown, Ev::BreakerCooldown { replica: rid });
         let queued: Vec<Batch> = self.replicas[rid].queue.drain(..).collect();
@@ -894,7 +868,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         if self.replicas[rid].breaker != BreakerState::Open || self.replicas[rid].crashed {
             return;
         }
-        let now = self.now();
         self.replicas[rid].breaker = BreakerState::HalfOpen {
             probes_left: bc.probe_batches,
         };
@@ -902,12 +875,8 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             h.reset(rid);
         }
         self.replicas[rid].excluded = false;
-        self.acc.record_recovery(rid, now);
-        self.acc.record_breaker_probe();
-        self.observer
-            .on_event(now, &KernelEvent::BreakerProbe { replica: rid });
-        self.observer
-            .on_event(now, &KernelEvent::ReplicaRecovered { replica: rid });
+        self.emit(KernelEvent::BreakerProbe { replica: rid });
+        self.emit(KernelEvent::ReplicaRecovered { replica: rid });
         self.try_begin(rid);
         self.wake_feeders();
     }
@@ -968,15 +937,11 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             samples.extend_from_slice(&src.samples);
         }
         let size = samples.len();
-        self.acc.record_hedge_dispatch();
-        self.observer.on_event(
-            now,
-            &KernelEvent::HedgeDispatched {
-                primary: rid,
-                backup,
-                size,
-            },
-        );
+        self.emit(KernelEvent::HedgeDispatched {
+            primary: rid,
+            backup,
+            size,
+        });
         self.replicas[rid].hedge_partner = Some(backup);
         self.replicas[backup].hedge_partner = Some(rid);
         self.start_exec(
@@ -1008,15 +973,11 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
                 self.abort_transfer(from_stage, batch, true);
                 return;
             }
-            self.acc.record_transfer_retry();
-            self.observer.on_event(
-                now,
-                &KernelEvent::TransferRetried {
-                    from_stage,
-                    attempt: 1,
-                    size: batch.len(),
-                },
-            );
+            self.emit(KernelEvent::TransferRetried {
+                from_stage,
+                attempt: 1,
+                size: batch.len(),
+            });
             self.q.schedule_after(
                 retry.backoff_for(1),
                 Ev::TransferRetry {
@@ -1033,14 +994,11 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             .sim
             .tm
             .batch_transfer_time(bytes, survivors.len() as f64);
-        self.observer.on_event(
-            now,
-            &KernelEvent::StageTransfer {
-                from_stage,
-                to_stage: next,
-                size: survivors.len(),
-            },
-        );
+        self.emit(KernelEvent::StageTransfer {
+            from_stage,
+            to_stage: next,
+            size: survivors.len(),
+        });
         let b = Batch {
             samples: survivors,
             formed_at: now,
@@ -1074,15 +1032,11 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             return;
         }
         let next_attempt = attempt + 1;
-        self.acc.record_transfer_retry();
-        self.observer.on_event(
-            now,
-            &KernelEvent::TransferRetried {
-                from_stage,
-                attempt: next_attempt,
-                size: batch.len(),
-            },
-        );
+        self.emit(KernelEvent::TransferRetried {
+            from_stage,
+            attempt: next_attempt,
+            size: batch.len(),
+        });
         self.q.schedule_after(
             retry.backoff_for(next_attempt),
             Ev::TransferRetry {
@@ -1110,25 +1064,18 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
     /// samples. `budget_exhausted` attributes the abort to the per-run
     /// retry budget rather than the transfer's own attempt limit.
     fn abort_transfer(&mut self, from_stage: usize, mut batch: Batch, budget_exhausted: bool) {
-        let now = self.now();
-        self.acc
-            .record_transfer_abort(batch.len(), budget_exhausted);
-        self.observer.on_event(
-            now,
-            &KernelEvent::TransferAborted {
-                from_stage,
-                size: batch.len(),
-            },
-        );
+        self.emit(KernelEvent::TransferAborted {
+            from_stage,
+            size: batch.len(),
+            budget_exhausted,
+        });
         for s in batch.samples.drain(..) {
             self.in_flight = self.in_flight.saturating_sub(1);
-            self.observer.on_event(
-                now,
-                &KernelEvent::Dropped {
-                    sample: s.id,
-                    stage: from_stage,
-                },
-            );
+            self.emit(KernelEvent::Dropped {
+                sample: s.id,
+                stage: from_stage,
+                cause: DropCause::TransferAbort,
+            });
         }
         self.pool_put(batch.samples);
         self.wake_feeders();
@@ -1149,14 +1096,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
 
     fn complete(&mut self, s: SimSample, now: SimTime) {
         self.in_flight = self.in_flight.saturating_sub(1);
-        let in_slo = self.acc.complete(&s, now);
-        self.observer.on_event(
-            now,
-            &KernelEvent::Completion {
-                sample: s.id,
-                within_slo: in_slo,
-            },
-        );
+        self.emit(completion(&s, now, self.sim.cfg.slo));
     }
 
     /// Judges the replica that just finished a batch against its stage
@@ -1184,15 +1124,10 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         self.perf_scratch = peers;
         if exclude {
             self.replicas[rid].excluded = true;
-            self.acc.record_straggler(rid);
-            self.acc.record_exclusion(rid, self.now());
-            self.observer.on_event(
-                self.now(),
-                &KernelEvent::ReplicaExcluded {
-                    replica: rid,
-                    reason: ExclusionReason::Straggler,
-                },
-            );
+            self.emit(KernelEvent::ReplicaExcluded {
+                replica: rid,
+                reason: ExclusionReason::Straggler,
+            });
             // Reassign its queued batches.
             let queued: Vec<Batch> = self.replicas[rid].queue.drain(..).collect();
             for b in queued {
@@ -1203,12 +1138,9 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
 
     /// Applies one scheduled fault action at its due time.
     fn on_fault(&mut self, action: FaultAction) {
-        let now = self.now();
         match action {
             FaultAction::Apply(fault) => {
-                self.acc.record_fault();
-                self.observer
-                    .on_event(now, &KernelEvent::FaultInjected { fault });
+                self.emit(KernelEvent::FaultInjected { fault });
                 match fault {
                     FaultEvent::ReplicaCrash { replica, .. } => self.crash_replica(replica),
                     FaultEvent::TransientSlowdown {
@@ -1269,7 +1201,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         if self.replicas[rid].crashed {
             return;
         }
-        let now = self.now();
         let stage = self.replicas[rid].stage;
         self.replicas[rid].crashed = true;
         self.replicas[rid].excluded = true;
@@ -1277,14 +1208,10 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         // replica; the batch itself is re-executed elsewhere.
         self.replicas[rid].epoch += 1;
         self.replicas[rid].busy = false;
-        self.acc.record_exclusion(rid, now);
-        self.observer.on_event(
-            now,
-            &KernelEvent::ReplicaExcluded {
-                replica: rid,
-                reason: ExclusionReason::Crash,
-            },
-        );
+        self.emit(KernelEvent::ReplicaExcluded {
+            replica: rid,
+            reason: ExclusionReason::Crash,
+        });
         // A crash supersedes whatever the breaker was doing; the replica
         // is judged afresh after recovery.
         self.replicas[rid].breaker = BreakerState::Closed;
@@ -1295,14 +1222,10 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             // for the samples. Re-routing would double-count them.
             self.replicas[p].hedge_partner = None;
             if let Some(copy) = self.replicas[rid].running.take() {
-                self.acc.record_hedge_cancel();
-                self.observer.on_event(
-                    now,
-                    &KernelEvent::HedgeCancelled {
-                        replica: rid,
-                        size: copy.samples.len(),
-                    },
-                );
+                self.emit(KernelEvent::HedgeCancelled {
+                    replica: rid,
+                    size: copy.samples.len(),
+                });
                 self.pool_put(copy.samples);
             }
         }
@@ -1321,7 +1244,6 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         if !self.replicas[rid].excluded {
             return;
         }
-        let now = self.now();
         let stage = self.replicas[rid].stage;
         self.replicas[rid].crashed = false;
         self.replicas[rid].excluded = false;
@@ -1333,9 +1255,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
         if let Some(h) = self.health.as_mut() {
             h.reset(rid);
         }
-        self.acc.record_recovery(rid, now);
-        self.observer
-            .on_event(now, &KernelEvent::ReplicaRecovered { replica: rid });
+        self.emit(KernelEvent::ReplicaRecovered { replica: rid });
         // Batches routed while every peer was down sit on a crashed
         // replica's queue (the route() fallback); reclaim them now.
         let mut stranded: Vec<Batch> = Vec::new();

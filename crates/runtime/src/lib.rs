@@ -32,12 +32,13 @@
 //!   [`kernel::BatchingPolicy`] (dynamic batching, fusion buffers, static
 //!   batching), [`kernel::StragglerPolicy`] (exclusion), the
 //!   [`kernel::RunObserver`] hook receiving typed [`kernel::KernelEvent`]s,
-//!   and the shared [`kernel::RunAccumulator`];
+//!   and [`kernel::RunAccumulator`], the fold of that stream into a
+//!   [`report::RunReport`];
 //! * [`engine`] — the [`engine::ServingSim`] facade: validates the stage
 //!   layout, materializes requests, assembles the default policies from
 //!   [`engine::ServingConfig`], and drives the kernel;
 //! * [`serial`] — the "model parallelism OFF" barrier mode, on the same
-//!   clock and accumulator;
+//!   clock and report fold;
 //! * [`report`] — run metrics: goodput, latency quartiles, utilization,
 //!   drops, accuracy, per-window exit observations;
 //! * [`strategy`] — strategy construction, including the data-parallel
@@ -69,5 +70,5 @@ pub use kernel::{
     KernelPolicies, KvPlan, OffsetObserver, PreemptMode, RunObserver, SequenceSpec,
     StragglerPolicy, TagObserver, TaggedEventLog, TokenJourney,
 };
-pub use report::{RobustnessStats, RunReport, ShedBreakdown, ShedCause};
+pub use report::{DropCause, RobustnessStats, RunReport, ShedBreakdown, ShedCause};
 pub use strategy::Strategy;

@@ -31,6 +31,28 @@ pub enum ShedCause {
     Brownout,
 }
 
+/// What dropped a sample; one variant per [`ShedBreakdown`] field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropCause {
+    /// Shed at routing time by the per-replica queue bound.
+    QueueCap,
+    /// Rejected by the admission policy.
+    Admission,
+    /// Lost with a transfer that exhausted its retries.
+    TransferAbort,
+    /// Shed while the brownout controller's tightened bound was in force.
+    Brownout,
+}
+
+impl From<ShedCause> for DropCause {
+    fn from(cause: ShedCause) -> Self {
+        match cause {
+            ShedCause::QueueCap => DropCause::QueueCap,
+            ShedCause::Brownout => DropCause::Brownout,
+        }
+    }
+}
+
 /// Every dropped sample of a run, broken down by what dropped it. The
 /// four causes partition [`RunReport::dropped`]: queue-bound sheds,
 /// admission-policy rejections, transfer aborts, and brownout sheds are
@@ -53,6 +75,16 @@ impl ShedBreakdown {
     /// [`RunReport::dropped`].
     pub fn total(&self) -> u64 {
         self.queue_cap + self.admission + self.transfer_abort + self.brownout
+    }
+
+    /// Counts one sample dropped for `cause`.
+    pub fn record(&mut self, cause: DropCause) {
+        match cause {
+            DropCause::QueueCap => self.queue_cap += 1,
+            DropCause::Admission => self.admission += 1,
+            DropCause::TransferAbort => self.transfer_abort += 1,
+            DropCause::Brownout => self.brownout += 1,
+        }
     }
 
     /// Adds another breakdown's counts into this one.
@@ -113,7 +145,8 @@ pub struct RunReport {
     pub completed: u64,
     /// Requests completed within the SLO.
     pub within_slo: u64,
-    /// Requests dropped at admission (deadline unmeetable).
+    /// Requests dropped, for any cause: always
+    /// `robustness.sheds.total()`.
     pub dropped: u64,
     /// Correct predictions among completed requests.
     pub correct: u64,
@@ -148,7 +181,8 @@ pub struct RunReport {
     /// SLO-compliant completions recorded while degraded.
     pub degraded_within_slo: u64,
     /// Samples shed at routing time by the per-replica queue bound
-    /// (a subset of `dropped`).
+    /// (a subset of `dropped`): always `robustness.sheds.queue_cap +
+    /// robustness.sheds.brownout`.
     pub shed: u64,
     /// Stage transfers re-scheduled because the outbound link was down.
     pub transfer_retries: u64,

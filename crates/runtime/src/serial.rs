@@ -11,8 +11,10 @@
 //!
 //! The driver shares the kernel's primitives: the clock is an
 //! [`EventQueue`] advanced in lockstep ([`EventQueue::advance`] — no
-//! events interleave between barriers, by construction), and metrics flow
-//! through the same [`RunAccumulator`] the event-driven kernel uses.
+//! events interleave between barriers, by construction), and the report
+//! is the same [`RunAccumulator`] fold over the [`KernelEvent`]s the
+//! driver emits (dispatches, batch executions, completions) that the
+//! event-driven kernel uses.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +25,7 @@ use e3_simcore::{EventQueue, SimDuration, SimTime};
 use e3_workload::Request;
 
 use crate::executor::execute_batch;
-use crate::kernel::RunAccumulator;
+use crate::kernel::{completion, KernelEvent, RunAccumulator, RunObserver};
 use crate::report::RunReport;
 use crate::sample::SimSample;
 
@@ -70,16 +72,25 @@ pub fn run_serial_barrier(
     // Pure lockstep: the queue only lends its clock; nothing is scheduled.
     let mut q: EventQueue<()> = EventQueue::new();
     let mut acc = RunAccumulator::new(stages.len(), m, slo, true);
+    // The driver's one emission path; nothing observes it but the fold.
+    let mut emit = |now: SimTime, event: KernelEvent| acc.on_event(now, &event);
     // Every dispatch in this mode is exactly b0 wide, at every stage.
-    for st in 0..stages.len() {
-        acc.record_dispatch(st, b0 as f64);
+    for stage in 0..stages.len() {
+        emit(
+            SimTime::ZERO,
+            KernelEvent::Dispatched {
+                stage,
+                width: b0 as f64,
+                queued: None,
+            },
+        );
     }
 
     // Super-rounds of m * b0 samples keep every GPU busy in stage 0.
     for chunk in samples.chunks(m * b0) {
         let round_start = q.now();
         let mut alive: Vec<SimSample> = chunk.to_vec();
-        for stage in &stages {
+        for (si, stage) in stages.iter().enumerate() {
             if alive.is_empty() {
                 break;
             }
@@ -100,7 +111,16 @@ pub fn run_serial_barrier(
                         true,
                         1.0,
                     );
-                    acc.record_busy(g, out.duration, out.mean_occupancy);
+                    emit(
+                        q.now(),
+                        KernelEvent::ExecStart {
+                            replica: g,
+                            stage: si as u32,
+                            size: batch.len() as u32,
+                            busy: out.duration,
+                            occupancy: out.mean_occupancy,
+                        },
+                    );
                     wave_max = wave_max.max(out.duration);
                 }
                 q.advance(wave_max); // the barrier: everyone waits for the slowest
@@ -125,7 +145,7 @@ pub fn run_serial_barrier(
             let clock = q.now();
             for mut s in finished {
                 s.arrival = round_start; // latency = time since the round began
-                acc.complete(&s, clock);
+                emit(clock, completion(&s, clock, slo));
             }
             alive = survivors;
         }

@@ -16,8 +16,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use e3_runtime::kernel::{EventLog, ExclusionReason, KernelEvent, RunObserver, TaggedEventLog};
-use e3_runtime::RunReport;
+use e3_runtime::kernel::{
+    EventLog, ExclusionReason, KernelEvent, QueueDepth, RunObserver, TaggedEventLog,
+};
 use e3_simcore::SimTime;
 
 /// The invariant families the checker enforces.
@@ -42,8 +43,8 @@ pub enum InvariantClass {
     /// no double exclusion (except a crash upgrading a straggler verdict),
     /// and no execution on a crash-excluded replica.
     ReplicaLifecycle,
-    /// Batches are shed only when a queue bound is configured, and the
-    /// reported peak replica queue depth stays under it.
+    /// Batches are shed only when a queue bound is configured, and no
+    /// dispatch leaves a replica queue deeper than it.
     QueueBound,
     /// Continuous-batching residency: a sequence joins a replica at most
     /// once at a time and only leaves a replica it lives on (or was
@@ -140,7 +141,8 @@ pub struct CheckerConfig {
     pub kv_capacity_tokens: Option<usize>,
     /// The run's per-replica queue bound
     /// ([`e3_runtime::ServingConfig::queue_cap`]). With `None`, any
-    /// `BatchShed` event is itself a violation.
+    /// `BatchShed` event is itself a violation; with a bound, so is a
+    /// `Dispatched` event reporting a deeper replica queue.
     pub queue_cap: Option<usize>,
 }
 
@@ -256,22 +258,6 @@ impl InvariantChecker {
             );
         }
         self.violations
-    }
-
-    /// Report-level checks that need the run's aggregate counters: the
-    /// peak replica queue depth must respect the configured bound.
-    pub fn check_report(&mut self, report: &RunReport) {
-        if let Some(cap) = self.cfg.queue_cap {
-            for (r, &depth) in report.peak_replica_queue_depth.iter().enumerate() {
-                if depth > cap {
-                    self.report(
-                        self.last_now,
-                        InvariantClass::QueueBound,
-                        format!("replica {r} peak queue depth {depth} exceeds cap {cap}"),
-                    );
-                }
-            }
-        }
     }
 
     /// Replays a recorded log through a fresh checker.
@@ -518,6 +504,21 @@ impl InvariantChecker {
                     at,
                     InvariantClass::ReplicaLifecycle,
                     format!("replica {r} started a batch while crash-excluded"),
+                );
+            }
+        }
+    }
+
+    fn on_queued(&mut self, at: SimTime, q: QueueDepth) {
+        if let Some(cap) = self.cfg.queue_cap {
+            if q.replica_depth as usize > cap {
+                self.report(
+                    at,
+                    InvariantClass::QueueBound,
+                    format!(
+                        "replica {} queue depth {} exceeds cap {cap}",
+                        q.replica, q.replica_depth
+                    ),
                 );
             }
         }
@@ -776,6 +777,9 @@ impl RunObserver for InvariantChecker {
             KernelEvent::ReplicaRecovered { replica } => self.on_recovered(now, replica),
             KernelEvent::ExecStart { replica, .. } => self.on_exec_start(now, replica),
             KernelEvent::BatchShed { stage, size } => self.on_shed(now, stage, size),
+            KernelEvent::Dispatched {
+                queued: Some(q), ..
+            } => self.on_queued(now, q),
             KernelEvent::ReconfigStarted { epoch } => self.on_reconfig_started(now, epoch),
             KernelEvent::CanaryPromoted { epoch } => {
                 self.on_reconfig_closed(now, epoch, "CanaryPromoted")
@@ -795,6 +799,7 @@ impl RunObserver for InvariantChecker {
             // Batch-granularity bookkeeping events carry no per-sample
             // obligations the stream can contradict.
             KernelEvent::Admitted { .. }
+            | KernelEvent::Dispatched { .. }
             | KernelEvent::BatchFormed { .. }
             | KernelEvent::Fusion { .. }
             | KernelEvent::ExecDone { .. }
@@ -816,6 +821,28 @@ mod tests {
 
     fn classes(v: &[Violation]) -> Vec<InvariantClass> {
         v.iter().map(|x| x.class).collect()
+    }
+
+    fn done(sample: u64) -> KernelEvent {
+        KernelEvent::Completion {
+            sample,
+            latency: e3_simcore::SimDuration::from_millis(1),
+            within_slo: true,
+            correct: true,
+            exited_early: false,
+            layers_executed: 12,
+        }
+    }
+
+    /// Replica 0 starting a stage-0 batch of `size`.
+    fn exec_start(size: u32) -> KernelEvent {
+        KernelEvent::ExecStart {
+            replica: 0,
+            stage: 0,
+            size,
+            busy: e3_simcore::SimDuration::from_millis(1),
+            occupancy: 1.0,
+        }
     }
 
     #[test]
@@ -861,13 +888,7 @@ mod tests {
                 sample: 0,
             },
         );
-        c.on_event(
-            t(4),
-            &KernelEvent::Completion {
-                sample: 0,
-                within_slo: true,
-            },
-        );
+        c.on_event(t(4), &done(0));
         assert!(c.finish().is_empty());
     }
 
@@ -970,14 +991,7 @@ mod tests {
                 reason: ExclusionReason::Straggler,
             },
         );
-        c.on_event(
-            t(1),
-            &KernelEvent::ExecStart {
-                replica: 0,
-                stage: 0,
-                size: 4,
-            },
-        );
+        c.on_event(t(1), &exec_start(4));
         assert!(c.violations().is_empty(), "straggler drain is legal");
         // A crash may upgrade the straggler verdict...
         c.on_event(
@@ -989,14 +1003,7 @@ mod tests {
         );
         assert!(c.violations().is_empty(), "crash upgrade is legal");
         // ...after which execution is a breach.
-        c.on_event(
-            t(3),
-            &KernelEvent::ExecStart {
-                replica: 0,
-                stage: 0,
-                size: 4,
-            },
-        );
+        c.on_event(t(3), &exec_start(4));
         let v = c.finish();
         assert_eq!(classes(&v), vec![InvariantClass::ReplicaLifecycle]);
     }
@@ -1019,21 +1026,8 @@ mod tests {
         // Window 2: the id arrives again (fresh kernel run) and the
         // replica is implicitly healthy again.
         c.on_event(t(2), &KernelEvent::Arrival { sample: 0 });
-        c.on_event(
-            t(3),
-            &KernelEvent::ExecStart {
-                replica: 0,
-                stage: 0,
-                size: 1,
-            },
-        );
-        c.on_event(
-            t(4),
-            &KernelEvent::Completion {
-                sample: 0,
-                within_slo: true,
-            },
-        );
+        c.on_event(t(3), &exec_start(1));
+        c.on_event(t(4), &done(0));
         // ...and a fresh crash in the new run is a fresh exclusion.
         c.on_event(
             t(5),
@@ -1275,42 +1269,5 @@ mod tests {
             classes(&c.finish()),
             vec![InvariantClass::BrownoutLevelPairing]
         );
-    }
-
-    #[test]
-    fn report_level_queue_bound() {
-        use e3_simcore::metrics::DurationHistogram;
-        use e3_simcore::SimDuration;
-        let mut c = InvariantChecker::new(CheckerConfig {
-            queue_cap: Some(2),
-            ..Default::default()
-        });
-        let report = RunReport {
-            duration: SimDuration::from_secs(1),
-            completed: 0,
-            within_slo: 0,
-            dropped: 0,
-            correct: 0,
-            latency: DurationHistogram::new(),
-            replica_util: vec![],
-            mean_dispatch_batch: vec![],
-            exit_events: vec![],
-            slo: SimDuration::from_millis(100),
-            stragglers_detected: vec![],
-            peak_queue_depth: vec![],
-            peak_replica_queue_depth: vec![1, 3],
-            replica_availability: vec![],
-            faults_injected: 0,
-            degraded_completed: 0,
-            degraded_within_slo: 0,
-            shed: 0,
-            transfer_retries: 0,
-            transfer_aborts: 0,
-            tokens_generated: 0,
-            kv_preemptions: 0,
-            robustness: Default::default(),
-        };
-        c.check_report(&report);
-        assert_eq!(classes(c.violations()), vec![InvariantClass::QueueBound]);
     }
 }

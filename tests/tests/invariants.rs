@@ -7,7 +7,7 @@
 use e3_hardware::{GpuKind, LatencyModel};
 use e3_model::{zoo, InferenceSim, RampController};
 use e3_runtime::autoreg::materialize_sequences;
-use e3_runtime::kernel::{EventLog, KernelEvent, TeeObserver};
+use e3_runtime::kernel::{EventLog, KernelEvent, QueueDepth, TeeObserver};
 use e3_runtime::{run_continuous, ContinuousConfig, FaultPlan, JoinPolicy, KvPlan, PreemptMode};
 use e3_scenarios::{CheckerConfig, InvariantChecker, InvariantClass, StreamScope};
 use e3_simcore::{SimDuration, SimTime};
@@ -71,7 +71,11 @@ fn continuous_cfg() -> CheckerConfig {
 /// Asserts the corrupted log trips `class` (and that the pristine log
 /// did not).
 fn assert_fires(log: &EventLog, class: InvariantClass) {
-    let violations = InvariantChecker::check_log(continuous_cfg(), log);
+    assert_fires_with(continuous_cfg(), log, class);
+}
+
+fn assert_fires_with(cfg: CheckerConfig, log: &EventLog, class: InvariantClass) {
+    let violations = InvariantChecker::check_log(cfg, log);
     assert!(
         violations.iter().any(|v| v.class == class),
         "corruption was not detected as {class}; got: {:?}",
@@ -180,6 +184,8 @@ fn exec_start_on_crashed_replica_fires_replica_lifecycle() {
                 replica,
                 stage: 0,
                 size: 1,
+                busy: SimDuration::from_millis(1),
+                occupancy: 1.0,
             },
         ),
     );
@@ -194,6 +200,30 @@ fn unconfigured_batch_shed_fires_queue_bound() {
     log.events
         .push((at, KernelEvent::BatchShed { stage: 0, size: 4 }));
     assert_fires(&log, InvariantClass::QueueBound);
+}
+
+#[test]
+fn over_cap_dispatch_fires_queue_bound() {
+    let mut log = recorded_continuous_log();
+    let cfg = CheckerConfig {
+        queue_cap: Some(2),
+        ..continuous_cfg()
+    };
+    let queued = |replica_depth| KernelEvent::Dispatched {
+        stage: 0,
+        width: 8.0,
+        queued: Some(QueueDepth {
+            replica: 1,
+            replica_depth,
+            stage_depth: replica_depth,
+        }),
+    };
+    // A dispatch at the bound is legal; one past it fires as it happens.
+    let at = log.events.last().expect("nonempty log").0;
+    log.events.push((at, queued(2)));
+    assert!(InvariantChecker::check_log(cfg, &log).is_empty());
+    log.events.push((at, queued(3)));
+    assert_fires_with(cfg, &log, InvariantClass::QueueBound);
 }
 
 #[test]
