@@ -9,13 +9,15 @@ cargo test -q
 cargo clippy --all-targets -- -D warnings
 
 # Repository benchmark (perfbench/, its own cargo workspace): its unit
-# tests, then a short closed_sweep run that must pass every correctness
-# check. It builds against crates/ through path dependencies, so an API
-# change there can break it.
+# tests, then short closed_sweep and llm_kv runs that must pass every
+# correctness check. It builds against crates/ through path
+# dependencies, so an API change there can break it.
 cargo test --release --locked --manifest-path perfbench/Cargo.toml
-cargo run --quiet --release --locked --manifest-path perfbench/Cargo.toml -- \
-    --workload closed_sweep --seed 7 --seconds 2 --trace 0 > /tmp/perfbench.out
-grep -q '"correct": true' /tmp/perfbench.out
+for workload in closed_sweep llm_kv; do
+    cargo run --quiet --release --locked --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 2 --trace 0 > /tmp/perfbench.out
+    grep -q '"correct": true' /tmp/perfbench.out
+done
 
 # Smoke pass: the fault-degradation sweep, the guarded-reconfiguration
 # sweep, the multi-tenant allocation sweep, and one paper figure must
