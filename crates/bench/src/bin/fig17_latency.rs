@@ -5,37 +5,6 @@
 //! the lowest min/median/quartiles — only hard inputs pay the full path,
 //! which lands in the tail.
 
-use e3::harness::ModelFamily;
-use e3_bench::exp::Experiment;
-use e3_bench::{takeaway, Table};
-use e3_hardware::ClusterSpec;
-use e3_workload::DatasetModel;
-
 fn main() {
-    println!("Figure 17: latency distribution (ms), 50E/50H mix, batch 8\n");
-    for (cluster_name, cluster) in [
-        (
-            "homogeneous (16 V100)",
-            ClusterSpec::paper_homogeneous_v100(),
-        ),
-        (
-            "heterogeneous (6 V100 + 8 P100 + 15 K80)",
-            ClusterSpec::paper_heterogeneous(),
-        ),
-    ] {
-        let exp = Experiment::new(ModelFamily::nlp(), cluster, DatasetModel::with_mix(0.5));
-        let mut t = Table::new(
-            cluster_name.to_string(),
-            &["min", "p25", "median", "p75", "max"],
-        );
-        for (name, kind) in exp.systems() {
-            let s = exp.run(kind, 8).latency_summary_ms();
-            t.row_fmt(name, &[s.min, s.p25, s.median, s.p75, s.max], 1);
-        }
-        t.print();
-        println!();
-    }
-    takeaway(
-        "E3 has the lowest min/quartiles/median (easy inputs exit early); its max stays within the SLO",
-    );
+    print!("{}", e3_bench::figs::fig17_report());
 }
