@@ -9,11 +9,12 @@ cargo test -q
 cargo clippy --all-targets -- -D warnings
 
 # Repository benchmark (perfbench/, its own cargo workspace): its unit
-# tests, then short closed_sweep and llm_kv runs that must pass every
-# correctness check. It builds against crates/ through path
-# dependencies, so an API change there can break it.
+# tests, then a short run of every workload, each of which must pass
+# every correctness check (digest replay and invariants). It builds
+# against crates/ through path dependencies, so an API change there can
+# break it.
 cargo test --release --locked --manifest-path perfbench/Cargo.toml
-for workload in closed_sweep llm_kv; do
+for workload in closed_sweep llm_kv multitenant_realloc edge_offload; do
     cargo run --quiet --release --locked --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 7 --seconds 2 --trace 0 > /tmp/perfbench.out
     grep -q '"correct": true' /tmp/perfbench.out
