@@ -27,9 +27,10 @@
 //!
 //! The homogeneous formulations are solved by exact DP over
 //! `(prefix length, GPUs used)`. The heterogeneous formulation is solved
-//! exactly too, but by bounded split-boundary enumeration plus an optimal
-//! bottleneck allocation of per-kind GPU counts (search over the finite
-//! set of candidate bottleneck values) — an equivalent-optimum
+//! exactly too, but by bounded split-boundary enumeration, a choice of
+//! GPU kind per stage, and a bottleneck-optimal allocation of each
+//! kind's GPUs across its stages by waterfilling (grant each GPU to the
+//! stage with the largest per-replica time) — an equivalent-optimum
 //! restructuring of fig. 6's recursion that avoids materializing the
 //! 4-dimensional GPU-count state space (see `DESIGN.md`).
 
