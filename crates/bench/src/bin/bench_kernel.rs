@@ -8,8 +8,8 @@
 //!    V100s, b=8, 20k requests). The Monte-Carlo materialization runs
 //!    *once* (`ServingSim::materialize_backlog`); the timed region is
 //!    the kernel event loop alone (`run_backlog_observed`), repeated to
-//!    amortize timer noise. This is the number the arena calendar queue
-//!    and the allocation-free batch loops are accountable to.
+//!    amortize timer noise. This is the number the binary-heap event
+//!    queue and the allocation-free batch loops are accountable to.
 //! 2. `kernel_continuous` — CALM-T5 continuous batching on SAMSum under
 //!    a finite KV budget (admission + preemption events included).
 //! 3. `kernel_multi_tenant` — three NLP tenants under joint allocation

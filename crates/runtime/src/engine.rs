@@ -33,11 +33,11 @@ use rand::SeedableRng;
 use e3_hardware::{LatencyModel, TransferModel};
 use e3_model::{EeModel, ExitPolicy, InferenceSim, RampController};
 use e3_profiler::HealthConfig;
-use e3_simcore::{EventQueue, ReferenceQueue, SimDuration, SimQueue, SimTime};
+use e3_simcore::{SimDuration, SimTime};
 use e3_workload::Request;
 
 use crate::kernel::{
-    AdmitAll, Ev, FaultPlan, FusionBatching, Kernel, KernelPolicies, NoStragglerDetection,
+    AdmitAll, FaultPlan, FusionBatching, Kernel, KernelPolicies, NoStragglerDetection,
     NullObserver, RelativeSlowdown, RunObserver, SloSlackAdmission,
 };
 use crate::report::{RunReport, ShedCause};
@@ -387,23 +387,21 @@ impl<'a> ServingSim<'a> {
         backlog: Vec<SimSample>,
         observer: &mut dyn RunObserver,
     ) -> RunReport {
-        self.run_backlog::<EventQueue<Ev>>(backlog, self.default_policies(), observer)
+        self.run_backlog(backlog, self.default_policies(), observer)
             .report
     }
 
-    /// [`ServingSim::run_observed`] on the binary-heap
-    /// [`e3_simcore::ReferenceQueue`] instead of the calendar queue — the
-    /// entry point for differential tests that demand byte-identical
-    /// event streams from both queue implementations.
+    /// Alias of [`ServingSim::run_observed`]. It once ran the same
+    /// simulation on a second, reference event queue; the simulator now
+    /// has one queue, so both entry points are the same run. Kept because
+    /// the repository benchmark (`perfbench/`) still calls it.
     pub fn run_observed_reference(
         &self,
         requests: &[Request],
         seed: u64,
         observer: &mut dyn RunObserver,
     ) -> RunReport {
-        let backlog = self.materialize_backlog(requests, seed);
-        self.run_backlog::<ReferenceQueue<Ev>>(backlog, self.default_policies(), observer)
-            .report
+        self.run_observed(requests, seed, observer)
     }
 
     fn run_inner(
@@ -414,16 +412,16 @@ impl<'a> ServingSim<'a> {
         observer: &mut dyn RunObserver,
     ) -> SegmentRun {
         let backlog = self.materialize_backlog(requests, seed);
-        self.run_backlog::<EventQueue<Ev>>(backlog, policies, observer)
+        self.run_backlog(backlog, policies, observer)
     }
 
-    fn run_backlog<Q: SimQueue<Ev>>(
+    fn run_backlog(
         &self,
         backlog: Vec<SimSample>,
         policies: KernelPolicies<'_>,
         observer: &mut dyn RunObserver,
     ) -> SegmentRun {
-        let (acc, consumed) = Kernel::<Q>::new(self, backlog, policies, observer).run();
+        let (acc, consumed) = Kernel::new(self, backlog, policies, observer).run();
         let last = acc.last_completion();
         let duration = match self.cfg.horizon {
             Some(h) => last.saturating_since(SimTime::ZERO).max(h),

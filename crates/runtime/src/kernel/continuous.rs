@@ -6,7 +6,7 @@
 //! sequences join mid-flight. [`ContinuousBatching`] is that discipline
 //! expressed as a [`BatchingPolicy`] — a buffer that never waits — and
 //! [`run_continuous`] is the iteration-level driver built on the kernel's
-//! primitives: the [`EventQueue`] clock, the typed
+//! primitives: the same [`EventQueue`] and clock, the typed
 //! [`KernelEvent`] observer stream, the deterministic [`FaultPlan`]
 //! vocabulary, and the [`RunAccumulator`] fold that turns the stream it
 //! emits into the run's [`RunReport`].

@@ -3,9 +3,9 @@
 //! A [`FaultPlan`] is a schedule of typed [`FaultEvent`]s applied at the
 //! kernel's existing decision points — replica selection, execution-time
 //! computation, batch dispatch. Faults are ordinary events on the
-//! kernel's own [`e3_simcore::EventQueue`], so a run with a fault plan is
-//! exactly as deterministic as one without: the same seed and the same
-//! plan produce a bit-identical event stream and report.
+//! simulator's one event queue, [`e3_simcore::EventQueue`], so a run with
+//! a fault plan is exactly as deterministic as one without: the same seed
+//! and the same plan produce a bit-identical event stream and report.
 //!
 //! The fault vocabulary mirrors the failure modes §3.3 claims robustness
 //! to:

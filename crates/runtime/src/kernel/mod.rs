@@ -2,10 +2,10 @@
 //!
 //! Everything the runtime serves — the Vanilla/NaiveEe/Plan strategies of
 //! [`crate::engine::ServingSim`], open and closed loop — runs through the
-//! single [`Kernel`] event loop here, driven by
-//! [`e3_simcore::EventQueue`]. The loop owns only *mechanism*: queues,
-//! replicas, timers, transfers, backpressure. Every *decision* is
-//! delegated through a policy seam:
+//! single `Kernel` event loop here, driven by the simulator's one event
+//! queue, [`e3_simcore::EventQueue`] (a stable binary heap). The loop
+//! owns only *mechanism*: queues, replicas, timers, transfers,
+//! backpressure. Every *decision* is delegated through a policy seam:
 //!
 //! * [`AdmissionPolicy`] — admit or drop a sample at dispatch time
 //!   ([`AdmitAll`], [`SloSlackAdmission`]);
@@ -50,7 +50,7 @@ use std::collections::VecDeque;
 
 use e3_hardware::GpuKind;
 use e3_profiler::HealthEstimator;
-use e3_simcore::{EventQueue, SimQueue, SimTime};
+use e3_simcore::{EventQueue, SimTime};
 
 use crate::batch::Batch;
 use crate::engine::ServingSim;
@@ -170,15 +170,11 @@ struct Replica {
 /// [`crate::engine::ServingSim`] with the materialized backlog and the
 /// chosen policies; [`Kernel::run`] drains the event queue and returns
 /// the [`RunAccumulator`] that folded its event stream.
-///
-/// Generic over the event queue so differential tests can replay the
-/// identical run on the binary-heap [`e3_simcore::ReferenceQueue`] and
-/// compare event streams against the calendar-queue default.
-pub(crate) struct Kernel<'a, 'p, Q: SimQueue<Ev> = EventQueue<Ev>> {
+pub(crate) struct Kernel<'a, 'p> {
     sim: &'a ServingSim<'a>,
     policies: KernelPolicies<'p>,
     observer: &'p mut dyn RunObserver,
-    q: Q,
+    q: EventQueue<Ev>,
     replicas: Vec<Replica>,
     stage_replicas: Vec<Vec<usize>>,
     flush_pending: Vec<bool>,
@@ -217,7 +213,7 @@ pub(crate) struct Kernel<'a, 'p, Q: SimQueue<Ev> = EventQueue<Ev>> {
     retry_tokens: Option<u32>,
 }
 
-impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
+impl<'a, 'p> Kernel<'a, 'p> {
     pub(crate) fn new(
         sim: &'a ServingSim<'a>,
         backlog: Vec<SimSample>,
@@ -265,7 +261,7 @@ impl<'a, 'p, Q: SimQueue<Ev>> Kernel<'a, 'p, Q> {
             sim,
             policies,
             observer,
-            q: Q::new(),
+            q: EventQueue::new(),
             replicas,
             stage_replicas,
             flush_pending: vec![false; num_stages],

@@ -9,19 +9,18 @@
 //! time at each barrier (the max-minus-mean of the wave) is what the
 //! pipelined mode eliminates — the gap plotted in fig. 26.
 //!
-//! The driver shares the kernel's primitives: the clock is an
-//! [`EventQueue`] advanced in lockstep ([`EventQueue::advance`] — no
-//! events interleave between barriers, by construction), and the report
-//! is the same [`RunAccumulator`] fold over the [`KernelEvent`]s the
-//! driver emits (dispatches, batch executions, completions) that the
-//! event-driven kernel uses.
+//! No events interleave between barriers, by construction, so the driver
+//! needs no event queue: its clock is a plain [`SimTime`] advanced in
+//! lockstep. The report is the same [`RunAccumulator`] fold over the
+//! [`KernelEvent`]s the driver emits (dispatches, batch executions,
+//! completions) that the event-driven kernel uses.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use e3_hardware::{GpuKind, LatencyModel, LinkKind, TransferModel};
 use e3_model::{EeModel, ExitPolicy, InferenceSim, RampController};
-use e3_simcore::{EventQueue, SimDuration, SimTime};
+use e3_simcore::{SimDuration, SimTime};
 use e3_workload::Request;
 
 use crate::executor::execute_batch;
@@ -69,8 +68,8 @@ pub fn run_serial_barrier(
 
     let gather = TransferModel::new(LinkKind::Pcie);
     let m = gpus.len();
-    // Pure lockstep: the queue only lends its clock; nothing is scheduled.
-    let mut q: EventQueue<()> = EventQueue::new();
+    // Pure lockstep: nothing is ever scheduled, so a clock suffices.
+    let mut now = SimTime::ZERO;
     let mut acc = RunAccumulator::new(stages.len(), m, slo, true);
     // The driver's one emission path; nothing observes it but the fold.
     let mut emit = |now: SimTime, event: KernelEvent| acc.on_event(now, &event);
@@ -88,7 +87,7 @@ pub fn run_serial_barrier(
 
     // Super-rounds of m * b0 samples keep every GPU busy in stage 0.
     for chunk in samples.chunks(m * b0) {
-        let round_start = q.now();
+        let round_start = now;
         let mut alive: Vec<SimSample> = chunk.to_vec();
         for (si, stage) in stages.iter().enumerate() {
             if alive.is_empty() {
@@ -112,7 +111,7 @@ pub fn run_serial_barrier(
                         1.0,
                     );
                     emit(
-                        q.now(),
+                        now,
                         KernelEvent::ExecStart {
                             replica: g,
                             stage: si as u32,
@@ -123,7 +122,7 @@ pub fn run_serial_barrier(
                     );
                     wave_max = wave_max.max(out.duration);
                 }
-                q.advance(wave_max); // the barrier: everyone waits for the slowest
+                now += wave_max; // the barrier: everyone waits for the slowest
             }
             // Gather survivors across GPUs over shared PCIe.
             let survivors: Vec<SimSample> = alive
@@ -137,22 +136,21 @@ pub fn run_serial_barrier(
                 .copied()
                 .collect();
             if stage.end < model.num_layers() && !survivors.is_empty() {
-                q.advance(gather.batch_transfer_time(
+                now += gather.batch_transfer_time(
                     model.boundary_bytes(stage.end - 1),
                     survivors.len() as f64,
-                ));
+                );
             }
-            let clock = q.now();
             for mut s in finished {
                 s.arrival = round_start; // latency = time since the round began
-                emit(clock, completion(&s, clock, slo));
+                emit(now, completion(&s, now, slo));
             }
             alive = survivors;
         }
         assert!(alive.is_empty(), "samples survived past the final stage");
     }
 
-    let duration = q.now().saturating_since(SimTime::ZERO);
+    let duration = now.saturating_since(SimTime::ZERO);
     acc.finish(duration)
 }
 

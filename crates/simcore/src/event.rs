@@ -1,22 +1,19 @@
-//! Stable discrete-event queue — the reference implementation.
+//! The simulator's event queue: a stable binary heap.
 //!
 //! A simulation is a loop that pops the earliest scheduled event, advances
 //! the clock to its timestamp, and handles it (possibly scheduling more
 //! events). Correctness of the reproduction demands *stable* ordering:
 //! events scheduled for the same instant must pop in the order they were
-//! scheduled, otherwise runs would not be reproducible. [`ReferenceQueue`]
-//! guarantees this with a monotonically increasing sequence number.
-//!
-//! This binary-heap queue is the *specification*: obviously correct, one
-//! comparison path, no tuning knobs. The hot-path simulator runs on the
-//! arena-backed calendar queue ([`crate::calendar::EventQueue`]), which must
-//! pop the exact same `(at, seq)` sequence; differential tests replay full
-//! kernel runs against this queue to prove it.
+//! scheduled, otherwise runs would not be reproducible. [`EventQueue`]
+//! guarantees this by ordering on `(at, seq)`, where `seq` is a
+//! monotonically increasing insertion counter, so the pop order is a
+//! unique total order: obviously correct, one comparison path, no tuning
+//! knobs.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// An event of user-defined payload type `E` scheduled at a point in
 /// simulated time.
@@ -55,16 +52,16 @@ impl<E> PartialOrd for ScheduledEvent<E> {
 
 /// A deterministic priority queue of future events.
 ///
-/// The queue also tracks the simulation clock: [`ReferenceQueue::pop`] advances
+/// The queue also tracks the simulation clock: [`EventQueue::pop`] advances
 /// `now` to the popped event's timestamp, and scheduling an event in the
 /// past is rejected (it would make the simulation non-causal).
 ///
 /// # Examples
 ///
 /// ```
-/// use e3_simcore::{ReferenceQueue, SimDuration, SimTime};
+/// use e3_simcore::{EventQueue, SimDuration, SimTime};
 ///
-/// let mut q: ReferenceQueue<&str> = ReferenceQueue::new();
+/// let mut q: EventQueue<&str> = EventQueue::new();
 /// q.schedule(SimTime::from_millis(5), "late");
 /// q.schedule(SimTime::from_millis(1), "early");
 /// q.schedule_after(SimDuration::from_millis(1), "also-early");
@@ -76,38 +73,31 @@ impl<E> PartialOrd for ScheduledEvent<E> {
 /// assert!(q.pop().is_none());
 /// ```
 #[derive(Debug)]
-pub struct ReferenceQueue<E> {
+pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     now: SimTime,
     next_seq: u64,
-    processed: u64,
 }
 
-impl<E> Default for ReferenceQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> ReferenceQueue<E> {
+impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at time zero.
     pub fn new() -> Self {
-        ReferenceQueue {
+        EventQueue {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            processed: 0,
         }
     }
 
     /// Current simulated time (the timestamp of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events popped so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// Number of events still pending.
@@ -138,29 +128,9 @@ impl<E> ReferenceQueue<E> {
     }
 
     /// Schedules `event` at `now + delay`.
-    pub fn schedule_after(&mut self, delay: crate::time::SimDuration, event: E) {
+    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
         let at = self.now + delay;
         self.schedule(at, event);
-    }
-
-    /// Advances the clock by `d` without popping an event, returning the
-    /// new time. Lets barrier-style drivers (lockstep waves with no event
-    /// interleaving) share the queue's clock with event-driven code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pending event is scheduled before the new time — the
-    /// advance would silently skip it.
-    pub fn advance(&mut self, d: crate::time::SimDuration) -> SimTime {
-        let to = self.now + d;
-        if let Some(at) = self.peek_time() {
-            assert!(
-                at >= to,
-                "advance past a pending event: pending at={at}, advancing to {to}"
-            );
-        }
-        self.now = to;
-        to
     }
 
     /// Pops the earliest event and advances the clock to its timestamp.
@@ -169,99 +139,18 @@ impl<E> ReferenceQueue<E> {
         let ev = self.heap.pop()?;
         debug_assert!(ev.at >= self.now, "event queue went back in time");
         self.now = ev.at;
-        self.processed += 1;
         Some(ev)
-    }
-
-    /// Timestamp of the next pending event, if any, without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Discards all pending events (the clock is left unchanged). Used when
-    /// a simulation ends at a horizon with work still in flight.
-    pub fn clear_pending(&mut self) {
-        self.heap.clear();
-    }
-}
-
-/// The event-queue interface simulation drivers are generic over.
-///
-/// Both the hot-path calendar queue ([`crate::calendar::EventQueue`], the
-/// default everywhere) and the binary-heap [`ReferenceQueue`] implement it
-/// with identical semantics, so differential tests can run the *same*
-/// simulation on both queues and compare the resulting event streams.
-pub trait SimQueue<E> {
-    /// Creates an empty queue with the clock at time zero.
-    fn new() -> Self;
-    /// Current simulated time (the timestamp of the last popped event).
-    fn now(&self) -> SimTime;
-    /// Number of events popped so far.
-    fn processed(&self) -> u64;
-    /// Number of events still pending.
-    fn len(&self) -> usize;
-    /// True if no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Schedules `event` at absolute time `at`; panics if `at` is in the past.
-    fn schedule(&mut self, at: SimTime, event: E);
-    /// Schedules `event` at `now + delay`.
-    fn schedule_after(&mut self, delay: crate::time::SimDuration, event: E);
-    /// Advances the clock without popping; panics past a pending event.
-    fn advance(&mut self, d: crate::time::SimDuration) -> SimTime;
-    /// Pops the earliest event and advances the clock to its timestamp.
-    fn pop(&mut self) -> Option<ScheduledEvent<E>>;
-    /// Timestamp of the next pending event, if any.
-    fn peek_time(&self) -> Option<SimTime>;
-    /// Discards all pending events, leaving the clock unchanged.
-    fn clear_pending(&mut self);
-}
-
-impl<E> SimQueue<E> for ReferenceQueue<E> {
-    fn new() -> Self {
-        ReferenceQueue::new()
-    }
-    fn now(&self) -> SimTime {
-        ReferenceQueue::now(self)
-    }
-    fn processed(&self) -> u64 {
-        ReferenceQueue::processed(self)
-    }
-    fn len(&self) -> usize {
-        ReferenceQueue::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        ReferenceQueue::is_empty(self)
-    }
-    fn schedule(&mut self, at: SimTime, event: E) {
-        ReferenceQueue::schedule(self, at, event)
-    }
-    fn schedule_after(&mut self, delay: crate::time::SimDuration, event: E) {
-        ReferenceQueue::schedule_after(self, delay, event)
-    }
-    fn advance(&mut self, d: crate::time::SimDuration) -> SimTime {
-        ReferenceQueue::advance(self, d)
-    }
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        ReferenceQueue::pop(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        ReferenceQueue::peek_time(self)
-    }
-    fn clear_pending(&mut self) {
-        ReferenceQueue::clear_pending(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = ReferenceQueue::new();
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(3), 3u32);
         q.schedule(SimTime::from_millis(1), 1u32);
         q.schedule(SimTime::from_millis(2), 2u32);
@@ -271,7 +160,7 @@ mod tests {
 
     #[test]
     fn ties_break_fifo() {
-        let mut q = ReferenceQueue::new();
+        let mut q = EventQueue::new();
         let t = SimTime::from_millis(1);
         for i in 0..100u32 {
             q.schedule(t, i);
@@ -281,8 +170,49 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_timestamps_interleaved_with_pops_stay_fifo() {
+        // FIFO-within-timestamp must hold across bursts at repeated
+        // instants, not just a single burst: schedule growing bursts at
+        // a series of instants and check global (at, seq) order.
+        let mut q = EventQueue::new();
+        let mut expect: Vec<(u64, u32)> = Vec::new();
+        let mut tag = 0u32;
+        for wave in 0..20u64 {
+            let t = SimTime::from_micros(wave * 7);
+            for _ in 0..wave + 1 {
+                q.schedule(t, tag);
+                expect.push((t.as_nanos(), tag));
+                tag += 1;
+            }
+        }
+        let mut got: Vec<(u64, u32)> = Vec::new();
+        while let Some(ev) = q.pop() {
+            got.push((ev.at.as_nanos(), ev.event));
+        }
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn far_future_sentinels_coexist_with_dense_traffic() {
+        // A handful of timers seconds out (plus a MAX sentinel) amid dense
+        // sub-microsecond events: the far events pop last, in time order.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::MAX, u32::MAX);
+        q.schedule(SimTime::from_secs_f64(30.0), 1_000_001);
+        for i in 0..500u32 {
+            q.schedule(SimTime::from_nanos(u64::from(i) * 800), i);
+        }
+        for i in 0..500u32 {
+            assert_eq!(q.pop().unwrap().event, i);
+        }
+        assert_eq!(q.pop().unwrap().event, 1_000_001);
+        assert_eq!(q.pop().unwrap().event, u32::MAX);
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
     fn clock_advances_monotonically() {
-        let mut q = ReferenceQueue::new();
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(5), ());
         q.schedule(SimTime::from_millis(7), ());
         assert_eq!(q.now(), SimTime::ZERO);
@@ -290,13 +220,13 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_millis(5));
         q.pop();
         assert_eq!(q.now(), SimTime::from_millis(7));
-        assert_eq!(q.processed(), 2);
+        assert!(q.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn scheduling_in_the_past_panics() {
-        let mut q = ReferenceQueue::new();
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(5), ());
         q.pop();
         q.schedule(SimTime::from_millis(1), ());
@@ -304,7 +234,7 @@ mod tests {
 
     #[test]
     fn schedule_after_uses_current_clock() {
-        let mut q = ReferenceQueue::new();
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(10), "a");
         q.pop();
         q.schedule_after(SimDuration::from_millis(5), "b");
@@ -313,35 +243,62 @@ mod tests {
         assert_eq!(ev.event, "b");
     }
 
-    #[test]
-    fn advance_moves_clock_without_popping() {
-        let mut q: ReferenceQueue<()> = ReferenceQueue::new();
-        assert_eq!(
-            q.advance(SimDuration::from_millis(4)),
-            SimTime::from_millis(4)
-        );
-        assert_eq!(q.now(), SimTime::from_millis(4));
-        assert_eq!(q.processed(), 0);
-        q.schedule(SimTime::from_millis(10), ());
-        q.advance(SimDuration::from_millis(6)); // exactly onto the event: ok
-        assert_eq!(q.now(), SimTime::from_millis(10));
+    /// One pop as `(at, seq, payload)`; the model's payload is its seq.
+    type Popped = Option<(SimTime, u64, u64)>;
+
+    /// Pops `q` and the model, which takes the minimum `(at, seq)` by a
+    /// linear scan.
+    fn pop_both(q: &mut EventQueue<u64>, model: &mut Vec<(SimTime, u64)>) -> (Popped, Popped) {
+        let want = (0..model.len())
+            .min_by_key(|&i| model[i])
+            .map(|i| model.swap_remove(i))
+            .map(|(at, seq)| (at, seq, seq));
+        let got = q.pop().map(|ev| (ev.at, ev.seq, ev.event));
+        (got, want)
     }
 
-    #[test]
-    #[should_panic(expected = "advance past a pending event")]
-    fn advance_past_pending_event_panics() {
-        let mut q: ReferenceQueue<()> = ReferenceQueue::new();
-        q.schedule(SimTime::from_millis(1), ());
-        q.advance(SimDuration::from_millis(2));
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[test]
-    fn clear_pending_empties_queue() {
-        let mut q = ReferenceQueue::new();
-        q.schedule(SimTime::from_millis(1), ());
-        q.schedule(SimTime::from_millis(2), ());
-        q.clear_pending();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
+        /// Random interleavings of `schedule`, `schedule_after` and `pop`
+        /// match a trivially correct model: a `Vec` scanned for the
+        /// minimum `(at, seq)`. Timestamps sit on a coarse 8-point grid,
+        /// so many pending events share one.
+        #[test]
+        fn pops_match_min_scan_model(ops in proptest::collection::vec(0u32..24, 1..300)) {
+            let grid = SimDuration::from_micros(10);
+            let mut q = EventQueue::new();
+            let mut model: Vec<(SimTime, u64)> = Vec::new();
+            let mut next_seq = 0u64;
+            for op in ops {
+                let step = grid * u64::from(op / 3);
+                match op % 3 {
+                    0 => {
+                        let at = (SimTime::ZERO + step).max(q.now());
+                        q.schedule(at, next_seq);
+                        model.push((at, next_seq));
+                        next_seq += 1;
+                    }
+                    1 => {
+                        model.push((q.now() + step, next_seq));
+                        q.schedule_after(step, next_seq);
+                        next_seq += 1;
+                    }
+                    _ => {
+                        let (got, want) = pop_both(&mut q, &mut model);
+                        prop_assert_eq!(got, want);
+                        if let Some((at, _, _)) = want {
+                            prop_assert_eq!(q.now(), at);
+                        }
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+            }
+            while !model.is_empty() {
+                let (got, want) = pop_both(&mut q, &mut model);
+                prop_assert_eq!(got, want);
+            }
+            prop_assert!(q.pop().is_none());
+        }
     }
 }

@@ -9,12 +9,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time, so
 //!   there is no floating-point drift in event ordering.
-//! * [`EventQueue`] — a stable priority queue of timestamped events with
-//!   deterministic FIFO tie-breaking, implemented as an arena-backed
-//!   calendar queue (bucketed by timestamp, O(1) amortized operations).
-//!   The binary-heap [`ReferenceQueue`] is kept as the executable
-//!   specification; differential tests replay whole kernel runs on both
-//!   and demand identical event streams.
+//! * [`EventQueue`] — a stable priority queue of timestamped events: a
+//!   binary heap ordered by `(time, insertion order)`, so ties break FIFO
+//!   and every run pops its events in one deterministic order.
 //! * [`SeedSplitter`] — reproducible per-component RNG derivation from one
 //!   experiment seed.
 //! * [`metrics`] — histograms with exact quantiles, counters, time series,
@@ -26,7 +23,6 @@
 //! Every experiment in the paper-reproduction benches is reproducible
 //! bit-for-bit from its seed.
 
-pub mod calendar;
 pub mod event;
 pub mod linalg;
 pub mod metrics;
@@ -35,8 +31,7 @@ pub mod stats;
 pub mod streaming;
 pub mod time;
 
-pub use calendar::EventQueue;
-pub use event::{ReferenceQueue, ScheduledEvent, SimQueue};
+pub use event::{EventQueue, ScheduledEvent};
 pub use rng::SeedSplitter;
 pub use streaming::{P2Quantile, StreamingMoments};
 pub use time::{SimDuration, SimTime};
