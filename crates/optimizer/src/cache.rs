@@ -28,7 +28,7 @@
 //!
 //! Within a solve, the DP's inner argmin over the last stage's replica
 //! count is found by binary search instead of a linear scan (see
-//! [`DpTables::extend_to`]): the candidate bottleneck
+//! `DpTables::extend_to`): the candidate bottleneck
 //! `max(prefix(g − m'), H/m')` is the max of a non-decreasing and a
 //! strictly decreasing function of `m'`, so the scan's first argmin
 //! always sits at their crossing. This drops a solve from

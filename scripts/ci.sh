@@ -7,6 +7,9 @@ cargo fmt --check
 cargo build --release --locked
 cargo test -q
 cargo clippy --all-targets -- -D warnings
+# Rustdoc: every intra-doc link must resolve, so docs that name a
+# deleted or private item fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Repository benchmark (perfbench/, its own cargo workspace): its unit
 # tests, then a short run of every workload, each of which must pass
