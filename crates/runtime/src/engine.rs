@@ -391,10 +391,9 @@ impl<'a> ServingSim<'a> {
             .report
     }
 
-    /// Alias of [`ServingSim::run_observed`]. It once ran the same
-    /// simulation on a second, reference event queue; the simulator now
-    /// has one queue, so both entry points are the same run. Kept because
-    /// the repository benchmark (`perfbench/`) still calls it.
+    /// Alias of [`ServingSim::run_observed`]: the simulator has one event
+    /// queue, so there is no separate reference run. Kept because the
+    /// repository benchmark (`perfbench/`) calls it.
     pub fn run_observed_reference(
         &self,
         requests: &[Request],
