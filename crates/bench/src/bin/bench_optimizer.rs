@@ -15,7 +15,10 @@
 //! [`ValueOracle`] whose stage table another count vector already
 //! filled), and one 3-tenant `MarginalGoodput` allocation on the same
 //! pool, the oracle-driven control step of the multi-tenant study. These
-//! report the median of several samples.
+//! report the median of several samples, plus how many kind assignments
+//! the heterogeneous search enumerated and how many of those it actually
+//! waterfilled (the rest lost to a bound first). The counts are
+//! deterministic.
 //!
 //! One JSON line per measurement so CI can archive the output as
 //! `BENCH_optimizer.json`:
@@ -116,6 +119,7 @@ fn main() {
         assert_eq!(cold_plan, plan, "heterogeneous solves must repeat");
         secs
     });
+    let mut search = (0, 0);
     let warm = median_secs(|| {
         let mut oracle = ValueOracle::new(&model, &ctrl, &profile, 8.0, &tm, &lm, &cfg);
         oracle.value(&primer);
@@ -126,16 +130,22 @@ fn main() {
             value.goodput, plan.goodput,
             "warm solve must equal cold solve"
         );
+        search = (
+            oracle.assignments_enumerated(),
+            oracle.assignments_waterfilled(),
+        );
         secs
     });
     println!(
-        "{{\"bench\":\"optimizer_hetero\",\"gpus\":{},\"splits\":{},\"samples\":{},\"cold_secs\":{:.6},\"warm_secs\":{:.6},\"warm_speedup\":{:.1}}}",
+        "{{\"bench\":\"optimizer_hetero\",\"gpus\":{},\"splits\":{},\"samples\":{},\"cold_secs\":{:.6},\"warm_secs\":{:.6},\"warm_speedup\":{:.1},\"assignments_enumerated\":{},\"assignments_waterfilled\":{}}}",
         cluster.num_gpus(),
         plan.splits.len(),
         SAMPLES,
         cold,
         warm,
-        cold / warm.max(1e-9)
+        cold / warm.max(1e-9),
+        search.0,
+        search.1
     );
 
     // Three tenants with different exit behaviour and demand.
@@ -165,14 +175,22 @@ fn main() {
         let secs = start.elapsed().as_secs_f64();
         assert_eq!(shares.len(), demands.len());
         solves = oracles.iter().map(ValueOracle::subsets_solved).sum();
+        search = oracles.iter().fold((0, 0), |(e, w), o| {
+            (
+                e + o.assignments_enumerated(),
+                w + o.assignments_waterfilled(),
+            )
+        });
         secs
     });
     println!(
-        "{{\"bench\":\"marginal_allocate\",\"tenants\":{},\"gpus\":{},\"samples\":{},\"oracle_solves\":{},\"secs\":{:.6}}}",
+        "{{\"bench\":\"marginal_allocate\",\"tenants\":{},\"gpus\":{},\"samples\":{},\"oracle_solves\":{},\"secs\":{:.6},\"assignments_enumerated\":{},\"assignments_waterfilled\":{}}}",
         demands.len(),
         cluster.num_gpus(),
         SAMPLES,
         solves,
-        alloc
+        alloc,
+        search.0,
+        search.1
     );
 }
